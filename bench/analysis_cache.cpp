@@ -70,8 +70,9 @@ uint64_t runMode(const ir::Program &P, const CacheConfig &Cache,
                  std::vector<double> &Costs, double &Secs) {
   auto Start = std::chrono::steady_clock::now();
   pipeline::PadPipeline PP(P, EnableCache);
-  search::CandidateGenerator Gen(P, Cache, PP);
-  search::StaticCostModel Static(Cache, &PP.analysis());
+  const MachineModel Machine = MachineModel::singleLevel(Cache);
+  search::CandidateGenerator Gen(P, Machine, PP);
+  search::StaticCostModel Static(Machine, &PP.analysis());
   std::mt19937_64 Rng(Seed);
 
   search::Candidate Current = Gen.seeds().front();

@@ -29,7 +29,7 @@
 ///
 /// Usage: multilevel [--machine PRESET|SPEC] [--weights l1=1,...]
 ///                   [--budget N] [--seed S] [--threads N]
-///                   [--replay on|off] [--json PATH] [--guard]
+///                   [--json PATH] [--guard]
 ///                   [kernel[:size]...]
 ///
 //===----------------------------------------------------------------------===//
@@ -66,8 +66,8 @@ void usage() {
   std::fprintf(stderr,
                "usage: multilevel [--machine PRESET|SPEC] "
                "[--weights l1=1,...] [--budget N] [--seed S]\n"
-               "                  [--threads N] [--replay on|off] "
-               "[--json PATH] [--guard] [kernel[:size]...]\n");
+               "                  [--threads N] [--json PATH] [--guard] "
+               "[kernel[:size]...]\n");
   std::exit(2);
 }
 
@@ -77,7 +77,7 @@ int main(int argc, char **argv) {
   std::string MachineSpec = "paper-l2", WeightsSpec;
   unsigned Budget = 32, Threads = 0;
   uint64_t Seed = 0;
-  bool UseReplay = true, Guard = false;
+  bool Guard = false;
   std::string JsonPath;
   std::vector<std::pair<std::string, int64_t>> Programs;
 
@@ -98,13 +98,7 @@ int main(int argc, char **argv) {
       Seed = static_cast<uint64_t>(std::atoll(Next()));
     else if (Arg == "--threads")
       Threads = static_cast<unsigned>(std::atoi(Next()));
-    else if (Arg == "--replay" || Arg.rfind("--replay=", 0) == 0) {
-      std::string V =
-          Arg == "--replay" ? std::string(Next()) : Arg.substr(9);
-      if (V != "on" && V != "off")
-        usage();
-      UseReplay = V == "on";
-    } else if (Arg == "--json")
+    else if (Arg == "--json")
       JsonPath = Next();
     else if (Arg == "--guard")
       Guard = true;
@@ -161,8 +155,7 @@ int main(int argc, char **argv) {
   }
 
   std::cout << "Multi-level objective study on " << Machine.describe()
-            << " (budget " << Budget << ", seed " << Seed << ", replay "
-            << (UseReplay ? "on" : "off") << ")\n\n";
+            << " (budget " << Budget << ", seed " << Seed << ")\n\n";
 
   std::vector<ProgramRow> Rows;
   for (const auto &[Name, Size] : Programs) {
@@ -187,11 +180,10 @@ int main(int argc, char **argv) {
         pad::applyPadding(P, Machine, pad::PaddingScheme::pad()).Layout);
 
     search::SearchOptions SO;
-    SO.Cache = L1;
+    SO.Machine = MachineModel::singleLevel(L1);
     SO.EvalBudget = Budget;
     SO.Seed = Seed;
     SO.Threads = Threads;
-    SO.UseReplay = UseReplay;
     layout::DataLayout L1Best = search::runSearch(P, SO).BestLayout;
     Row.SearchL1 = Measure(L1Best);
 

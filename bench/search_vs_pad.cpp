@@ -12,8 +12,7 @@
 /// speedup.
 ///
 /// Usage: search_vs_pad [--threads N] [--budget N] [--seed S]
-///                      [--replay on|off] [--json PATH] [--all]
-///                      [kernel...]
+///                      [--json PATH] [--all] [kernel...]
 /// Default kernel set: the Figure 16/17 sweep kernels; --all runs every
 /// registered program. PADX_CSV=1 emits CSV like the other benches;
 /// --json additionally writes a machine-readable summary (wall time,
@@ -45,7 +44,7 @@ struct KernelRow {
 void usage() {
   std::fprintf(stderr,
                "usage: search_vs_pad [--threads N] [--budget N] "
-               "[--seed S] [--replay on|off] [--json PATH] [--all] "
+               "[--seed S] [--json PATH] [--all] "
                "[kernel...]\n");
   std::exit(1);
 }
@@ -72,13 +71,7 @@ int main(int argc, char **argv) {
       Opts.EvalBudget = static_cast<unsigned>(std::atoi(Next()));
     else if (Arg == "--seed")
       Opts.Seed = static_cast<uint64_t>(std::atoll(Next()));
-    else if (Arg == "--replay" || Arg.rfind("--replay=", 0) == 0) {
-      std::string V =
-          Arg == "--replay" ? std::string(Next()) : Arg.substr(9);
-      if (V != "on" && V != "off")
-        usage();
-      Opts.UseReplay = V == "on";
-    } else if (Arg == "--json")
+    else if (Arg == "--json")
       JsonPath = Next();
     else if (Arg == "--all")
       All = true;
@@ -105,13 +98,12 @@ int main(int argc, char **argv) {
     Names = bench::sweepKernels();
   }
 
-  std::cout << "Search-guided padding vs PAD ("
-            << Opts.Cache.describe() << ", budget " << Opts.EvalBudget
-            << ", threads "
+  const std::string Cache = Opts.Machine.firstCache().describe();
+  std::cout << "Search-guided padding vs PAD (" << Cache << ", budget "
+            << Opts.EvalBudget << ", threads "
             << (Opts.Threads == 0 ? std::string("hw")
                                   : std::to_string(Opts.Threads))
-            << ", seed " << Opts.Seed << ", replay "
-            << (Opts.UseReplay ? "on" : "off") << ")\n\n";
+            << ", seed " << Opts.Seed << ")\n\n";
 
   TableFormatter T(
       {"Program", "Orig%", "Pad%", "Search%", "vsPad", "Sims", "Pruned"});
@@ -167,11 +159,10 @@ int main(int argc, char **argv) {
     support::JsonWriter J(OS);
     J.beginObject();
     J.field("bench", "search_vs_pad");
-    J.field("cache", Opts.Cache.describe());
+    J.field("cache", Cache);
     J.field("budget", Opts.EvalBudget);
     J.field("threads", Opts.Threads);
     J.field("seed", Opts.Seed);
-    J.field("replay", Opts.UseReplay);
     J.field("wall_seconds", Secs);
     J.field("exact_evaluations", TotalSims);
     J.field("candidates_per_second",

@@ -15,7 +15,7 @@
 /// BENCH_server.json.
 ///
 /// Usage: server_throughput [--clients N] [--requests N] [--op OP]
-///                          [--budget N] [--batch K]
+///                          [--budget N]
 ///                          [--json PATH] [--guard RATE]
 ///                          [--baseline PATH] [--p99-slack X]
 ///                          [--open-loop RPS] [--queue N] [--inflight N]
@@ -25,11 +25,9 @@
 /// across requests so repeats hit warm analyses.
 ///
 /// --op search exercises the daemon's candidate-search path: --budget
-/// sets the per-request evaluation budget and --batch the replay lanes
-/// per trace pass (0 = auto, omitted = server default). The report and
-/// JSON gain the evaluated-candidate total, the batch width the engine
-/// settled on, and batched candidates/sec — the daemon-side throughput
-/// the K-way MultiTraceReplayer is meant to raise.
+/// sets the per-request evaluation budget. The report and JSON gain the
+/// evaluated-candidate total and candidates/sec — the daemon-side
+/// search throughput.
 ///
 /// --open-loop RPS switches to overload mode: senders offer requests at
 /// a fixed aggregate rate regardless of completions (the honest way to
@@ -81,7 +79,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: server_throughput [--clients N] [--requests N] "
                "[--op OP]\n"
-               "                         [--budget N] [--batch K]\n"
+               "                         [--budget N]\n"
                "                         [--json PATH] [--guard RATE]\n"
                "                         [--baseline PATH] "
                "[--p99-slack X]\n"
@@ -109,14 +107,14 @@ std::string quantile(std::vector<double> &Sorted, double Q,
 /// One closed-loop client: request, wait, record, repeat. Closed loops
 /// measure honest per-request latency — the daemon is never asked for
 /// more concurrency than the client count. Search replies additionally
-/// feed the evaluated-candidate tally (result.exact_evaluations) and
-/// the engine's settled batch width, parsed after the latency stamp so
-/// client-side JSON work never inflates the measurement.
+/// feed the evaluated-candidate tally (result.exact_evaluations),
+/// parsed after the latency stamp so client-side JSON work never
+/// inflates the measurement.
 void runClient(const std::string &SocketPath,
                const std::vector<std::string> &Frames, unsigned Requests,
                unsigned Offset, std::vector<double> &LatenciesMs,
                std::atomic<unsigned> &Errors, bool ParseSearch,
-               uint64_t &Candidates, unsigned &BatchWidth) {
+               uint64_t &Candidates) {
   std::string Err;
   support::FileDescriptor Fd = support::connectUnix(SocketPath, &Err);
   if (!Fd.valid()) {
@@ -144,13 +142,9 @@ void runClient(const std::string &SocketPath,
       std::optional<support::JsonValue> Doc = support::parseJson(Line);
       const support::JsonValue *Res =
           Doc && Doc->isObject() ? Doc->find("result") : nullptr;
-      if (Res && Res->isObject()) {
+      if (Res && Res->isObject())
         Candidates +=
             static_cast<uint64_t>(Res->getInt("exact_evaluations", 0));
-        BatchWidth = std::max(
-            BatchWidth,
-            static_cast<unsigned>(Res->getInt("batch_width", 0)));
-      }
     }
   }
 }
@@ -166,7 +160,6 @@ struct OpenLoopClient {
   std::vector<double> AcceptedMs;
   unsigned Accepted = 0;
   uint64_t Candidates = 0; ///< Search only: sum of exact_evaluations.
-  unsigned BatchWidth = 0; ///< Search only: engine's settled width.
   unsigned Shed = 0;
   unsigned OtherErrors = 0;
   unsigned Unanswered = 0;
@@ -228,13 +221,9 @@ void openLoopReceiver(int Fd, OpenLoopClient &C,
                                   std::memory_order_acquire)) /
           1e6);
       if (const support::JsonValue *Res = Doc->find("result");
-          Res && Res->isObject()) {
+          Res && Res->isObject())
         C.Candidates +=
             static_cast<uint64_t>(Res->getInt("exact_evaluations", 0));
-        C.BatchWidth = std::max(
-            C.BatchWidth,
-            static_cast<unsigned>(Res->getInt("batch_width", 0)));
-      }
       continue;
     }
     const support::JsonValue *E = Doc->find("error");
@@ -303,13 +292,11 @@ int runOpenLoop(server::PaddServer &Srv,
 
   uint64_t Accepted = 0, Shed = 0, Other = 0, Unanswered = 0;
   uint64_t Candidates = 0;
-  unsigned BatchWidth = 0;
   bool Dropped = false;
   std::vector<double> AcceptedMs;
   for (const OpenLoopClient &C : Cs) {
     Accepted += C.Accepted;
     Candidates += C.Candidates;
-    BatchWidth = std::max(BatchWidth, C.BatchWidth);
     Shed += C.Shed;
     Other += C.OtherErrors;
     Unanswered += C.Unanswered;
@@ -364,9 +351,6 @@ int runOpenLoop(server::PaddServer &Srv,
     T.cell("candidates evaluated");
     T.cell(static_cast<int64_t>(Candidates));
     T.beginRow();
-    T.cell("batch width");
-    T.cell(static_cast<int64_t>(BatchWidth));
-    T.beginRow();
     T.cell("candidates/sec");
     T.cell(Secs > 0 ? static_cast<double>(Candidates) / Secs : 0, 1);
   }
@@ -401,7 +385,6 @@ int runOpenLoop(server::PaddServer &Srv,
     J.field("shared_cache_hit_rate", Cache.hitRate());
     if (OpName == "search") {
       J.field("candidates", Candidates);
-      J.field("batch_width", static_cast<int64_t>(BatchWidth));
       J.field("candidates_per_second",
               Secs > 0 ? static_cast<double>(Candidates) / Secs : 0);
     }
@@ -477,7 +460,7 @@ int main(int argc, char **argv) {
   double OpenLoopRps = 0;
   double P99LimitMs = 0;
   int64_t Queue = -1, Inflight = -1, MinShed = 0;
-  int64_t Budget = 0, Batch = -1; // search op; <= 0 / < 0 = omit.
+  int64_t Budget = 0; // search op; <= 0 = omit.
   std::vector<std::string> Selected;
 
   for (int I = 1; I < argc; ++I) {
@@ -495,8 +478,6 @@ int main(int argc, char **argv) {
       OpName = Next();
     else if (Arg == "--budget")
       Budget = std::atoll(Next());
-    else if (Arg == "--batch")
-      Batch = std::atoll(Next());
     else if (Arg == "--json")
       JsonPath = Next();
     else if (Arg == "--guard")
@@ -552,12 +533,8 @@ int main(int argc, char **argv) {
       JW.field("filename", Names[Kernel] + ".pad");
       JW.field("emit", false);
     }
-    if (OpName == "search") {
-      if (Budget > 0)
-        JW.field("budget", Budget);
-      if (Batch >= 0)
-        JW.field("batch", Batch);
-    }
+    if (OpName == "search" && Budget > 0)
+      JW.field("budget", Budget);
     JW.endObject();
     return OS.str() + "\n";
   };
@@ -591,7 +568,6 @@ int main(int argc, char **argv) {
 
   std::vector<std::vector<double>> PerClient(Clients);
   std::vector<uint64_t> PerClientCandidates(Clients, 0);
-  std::vector<unsigned> PerClientBatchWidth(Clients, 0);
   std::atomic<unsigned> Errors{0};
   const bool IsSearch = OpName == "search";
   auto Start = Clock::now();
@@ -600,7 +576,7 @@ int main(int argc, char **argv) {
     Threads.emplace_back([&, C] {
       runClient(Srv.options().SocketPath, Frames, Requests,
                 C * Requests, PerClient[C], Errors, IsSearch,
-                PerClientCandidates[C], PerClientBatchWidth[C]);
+                PerClientCandidates[C]);
     });
   for (std::thread &T : Threads)
     T.join();
@@ -618,11 +594,8 @@ int main(int argc, char **argv) {
   uint64_t Total = All.size();
   double Rps = Secs > 0 ? static_cast<double>(Total) / Secs : 0;
   uint64_t Candidates = 0;
-  unsigned BatchWidth = 0;
-  for (unsigned C = 0; C != Clients; ++C) {
+  for (unsigned C = 0; C != Clients; ++C)
     Candidates += PerClientCandidates[C];
-    BatchWidth = std::max(BatchWidth, PerClientBatchWidth[C]);
-  }
   double CandPerSec =
       Secs > 0 ? static_cast<double>(Candidates) / Secs : 0;
   double P50 = 0, P99 = 0;
@@ -657,9 +630,6 @@ int main(int argc, char **argv) {
     T.cell("candidates evaluated");
     T.cell(static_cast<int64_t>(Candidates));
     T.beginRow();
-    T.cell("batch width");
-    T.cell(static_cast<int64_t>(BatchWidth));
-    T.beginRow();
     T.cell("candidates/sec");
     T.cell(CandPerSec, 1);
   }
@@ -688,7 +658,6 @@ int main(int argc, char **argv) {
     J.field("shared_cache_misses", S.totalMisses());
     if (IsSearch) {
       J.field("candidates", Candidates);
-      J.field("batch_width", static_cast<int64_t>(BatchWidth));
       J.field("candidates_per_second", CandPerSec);
     }
     J.field("errors", static_cast<uint64_t>(Errors.load()));

@@ -301,7 +301,20 @@ done
 # SARIF and byte-identical to what the padlint CLI writes standalone.
 build/examples/paddctl --socket "$PADD_SOCK" --op lint --format sarif \
   tests/fuzz/corpus/jacobi512.pad > build/padd_ci_sarif.ndjson
+# One multi-level search: its *_percent fields are first-cache-level
+# miss rates (never above 100, whatever the level weights) and the
+# retired batch_width field stays gone.
+build/examples/paddctl --socket "$PADD_SOCK" --op search --machine paper-l2 \
+  --budget 8 --no-emit tests/fuzz/corpus/jacobi512.pad \
+  > build/padd_ci_search_l2.ndjson
 if command -v jq > /dev/null 2>&1; then
+  jq -e '.ok == true and .op == "search" and
+         ([.result | to_entries[] | select(.key | endswith("_percent"))
+           | .value] | length == 3 and all(. <= 100)) and
+         (.result | has("batch_width") | not)' \
+    build/padd_ci_search_l2.ndjson > /dev/null || {
+    echo "paper-l2 search reply has a percent above 100 or batch_width"
+    cat build/padd_ci_search_l2.ndjson; kill "$PADD_PID"; exit 1; }
   jq -e '.ok == true and .op == "lint"' build/padd_ci_sarif.ndjson \
     > /dev/null
   jq -e '.result.report | fromjson | .version == "2.1.0" and

@@ -27,7 +27,6 @@
 ///   --weights W       per-level objective weights, e.g. l1=1,l2=8
 ///   --deadline-ms MS  per-request deadline
 ///   --budget N        search evaluation budget
-///   --batch K         search replay candidates per trace pass (0 = auto)
 ///   --seed S          search seed
 ///   --memory-budget BYTES --max-footprint BYTES --max-accesses N
 ///                     per-request quotas
@@ -73,7 +72,7 @@ void usage() {
       "usage: paddctl --socket PATH [--op OP] [--format FMT]\n"
       "               [--cache BYTES] [--line BYTES] [--assoc K]\n"
       "               [--machine PRESET|SPEC] [--weights l1=1,...]\n"
-      "               [--deadline-ms MS] [--budget N] [--batch K]\n"
+      "               [--deadline-ms MS] [--budget N]\n"
       "               [--seed S] [--prescreen on|off|auto]\n"
       "               [--memory-budget BYTES] [--max-footprint BYTES]\n"
       "               [--max-accesses N] [--no-emit] [--repeat N]\n"
@@ -95,7 +94,7 @@ struct RequestParams {
   long long CacheBytes = 0, LineBytes = 0, Assoc = -1;
   std::string Machine, Weights;
   double DeadlineMs = 0;
-  long long Budget = 0, Batch = -1, Seed = -1;
+  long long Budget = 0, Seed = -1;
   long long MemoryBudget = 0, MaxFootprint = 0, MaxAccesses = 0;
   std::string Prescreen;
   bool NoEmit = false;
@@ -131,8 +130,6 @@ std::string buildRequest(int64_t Id, const RequestParams &P,
     JW.field("deadline_ms", P.DeadlineMs);
   if (P.Budget > 0)
     JW.field("budget", static_cast<int64_t>(P.Budget));
-  if (P.Batch >= 0)
-    JW.field("batch", static_cast<int64_t>(P.Batch));
   if (P.Seed >= 0)
     JW.field("seed", static_cast<int64_t>(P.Seed));
   if (!P.Prescreen.empty())
@@ -192,8 +189,6 @@ int main(int argc, char **argv) {
       P.DeadlineMs = std::atof(Next());
     else if (Arg == "--budget")
       P.Budget = std::atoll(Next());
-    else if (Arg == "--batch")
-      P.Batch = std::atoll(Next());
     else if (Arg == "--seed")
       P.Seed = std::atoll(Next());
     else if (Arg == "--prescreen")

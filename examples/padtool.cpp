@@ -25,12 +25,8 @@
 ///   --scheme NAME   pad | padlite | search (default pad)
 ///   --budget N      search: max exact (simulated) evaluations
 ///   --threads N     search: worker threads (0 = hardware)
-///   --batch K       search: replay candidates per trace pass
-///                   (0 = auto; 1 = sequential replay)
 ///   --seed S        search: RNG seed (default 0)
 ///   --deadline SECS search: wall-clock limit; degrades to best-so-far
-///   --replay on|off search: record-once/replay-many evaluation
-///                   (default on; off re-walks the IR per candidate)
 ///   --prescreen on|off|auto  search: statically rank each round with
 ///                   the lattice predictor and replay only the top half
 ///                   (default off; auto engages when the predictor can
@@ -94,8 +90,7 @@ void usage() {
                "[--weights l1=1,l2=8,...]\n"
                "               [--scheme pad|padlite|search] "
                "[--budget N] [--threads N]\n"
-               "               [--batch K] [--seed S] [--deadline SECS] "
-               "[--replay on|off]\n"
+               "               [--seed S] [--deadline SECS]\n"
                "               [--prescreen on|off|auto] "
                "[--analysis-cache on|off]\n"
                "               [--max-footprint BYTES] "
@@ -211,14 +206,6 @@ int main(int argc, char **argv) {
         return ExitUsage;
       }
       SearchOpts.Threads = static_cast<unsigned>(N);
-    } else if (Arg == "--batch") {
-      long long N = std::atoll(Next());
-      if (N < 0) {
-        std::fprintf(stderr,
-                     "error: --batch must be >= 0 (0 = auto)\n");
-        return ExitUsage;
-      }
-      SearchOpts.BatchK = static_cast<unsigned>(N);
     } else if (Arg == "--seed") {
       SearchOpts.Seed =
           static_cast<uint64_t>(std::strtoull(Next(), nullptr, 10));
@@ -229,17 +216,6 @@ int main(int argc, char **argv) {
         return ExitUsage;
       }
       SearchOpts.DeadlineSeconds = Secs;
-    } else if (Arg == "--replay" || Arg.rfind("--replay=", 0) == 0) {
-      std::string V =
-          Arg == "--replay" ? std::string(Next()) : Arg.substr(9);
-      if (V == "on") {
-        SearchOpts.UseReplay = true;
-      } else if (V == "off") {
-        SearchOpts.UseReplay = false;
-      } else {
-        std::fprintf(stderr, "error: --replay takes 'on' or 'off'\n");
-        return ExitUsage;
-      }
     } else if (Arg == "--prescreen" ||
                Arg.rfind("--prescreen=", 0) == 0) {
       std::string V =
@@ -330,12 +306,14 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: %s\n", MachineErr.c_str());
       return ExitUsage;
     }
-    if (!Machine.Levels.empty())
+    if (Machine.Levels.empty())
+      Machine = MachineModel::singleLevel(Cache);
+    else
       Cache = Machine.firstCache();
   }
   // Multi-level runs print per-level sections; single-level runs (with
   // or without an explicit --machine) keep the pre-hierarchy output.
-  const bool Multi = !Machine.Levels.empty() && !Machine.isSingleLevel();
+  const bool Multi = !Machine.isSingleLevel();
   if (File.empty() && Kernel.empty()) {
     usage();
     return ExitUsage;
@@ -441,18 +419,15 @@ int main(int argc, char **argv) {
   std::optional<layout::DataLayout> Final;
   std::optional<search::SearchResult> SearchRes;
   if (Scheme == SchemeKind::Search) {
-    SearchOpts.Cache = Cache;
-    SearchOpts.Machine = Machine; // Empty = single level from Cache.
+    SearchOpts.Machine = Machine;
     search::SearchResult &SR =
         SearchRes.emplace(search::runSearch(*P, SearchOpts, PP));
     std::printf("  candidates: %u generated, %u pruned by the static "
                 "model, %u duplicates\n",
                 SR.CandidatesGenerated, SR.PrunedStatic,
                 SR.DuplicatesSkipped);
-    std::printf("  simulations: %u over %u rounds (%u restarts), "
-                "batch width %u\n",
-                SR.ExactEvaluations, SR.Rounds, SR.Restarts,
-                SR.BatchWidth);
+    std::printf("  simulations: %u over %u rounds (%u restarts)\n",
+                SR.ExactEvaluations, SR.Rounds, SR.Restarts);
     if (SR.PrescreenActive)
       std::printf("  prescreen: active, %u candidates kept from the "
                   "simulator by the lattice predictor\n",
@@ -584,14 +559,13 @@ int main(int argc, char **argv) {
       PS.printText(std::cout);
     if (!StatsJsonFile.empty()) {
       // On a search run the stats document gains a "search" sibling so
-      // harnesses (server_throughput's padtool mode, ci.sh) can divide
-      // exact evaluations by wall time into batched candidates/sec.
+      // harnesses (ci.sh) can divide exact evaluations by wall time
+      // into candidates/sec.
       std::function<void(support::JsonWriter &)> Extra =
           [&](support::JsonWriter &JW) {
             if (SearchRes) {
               JW.key("search");
               JW.beginObject();
-              JW.field("batch_width", SearchRes->BatchWidth);
               JW.field("exact_evaluations",
                        SearchRes->ExactEvaluations);
               JW.field("rounds", SearchRes->Rounds);

@@ -304,11 +304,11 @@ std::string MachineModel::levelName(unsigned I) const {
   return "l" + std::to_string(CacheIndex + 1);
 }
 
-const CacheConfig &MachineModel::firstCache() const {
-  for (const CacheLevel &L : Levels)
-    if (!L.IsTlb)
-      return L.Geometry;
-  return Levels.front().Geometry;
+unsigned MachineModel::firstCacheLevel() const {
+  for (unsigned I = 0; I != numLevels(); ++I)
+    if (!Levels[I].IsTlb)
+      return I;
+  return 0;
 }
 
 std::string MachineModel::describe() const {

@@ -140,8 +140,12 @@ struct MachineModel {
   /// level is unnamed).
   std::string levelName(unsigned I) const;
 
-  /// Geometry of the innermost non-TLB level. Requires isValid().
-  const CacheConfig &firstCache() const;
+  /// Index of the innermost non-TLB level, and its geometry. Require
+  /// isValid().
+  unsigned firstCacheLevel() const;
+  const CacheConfig &firstCache() const {
+    return Levels[firstCacheLevel()].Geometry;
+  }
 
   /// "l1 32K 8-way, 64B lines | l2 1M 16-way, 64B lines" for headers.
   std::string describe() const;

@@ -41,29 +41,6 @@ int64_t gapCeiling(const MachineModel &Machine) {
 } // namespace
 
 CandidateGenerator::CandidateGenerator(const ir::Program &P,
-                                       const CacheConfig &Cache)
-    : Prog(P), Cache(Cache), Machine(MachineModel::singleLevel(Cache)),
-      GapCeiling(gapCeiling(Machine)), Safety(analysis::analyzeSafety(P)),
-      MaxPadElems(kMaxPadElems) {
-  initKnobs();
-  initSeeds(pad::runPad(P, Cache).Layout,
-            pad::runPadLite(P, Cache).Layout);
-}
-
-CandidateGenerator::CandidateGenerator(const ir::Program &P,
-                                       const CacheConfig &Cache,
-                                       pipeline::PadPipeline &PP)
-    : Prog(P), Cache(Cache), Machine(MachineModel::singleLevel(Cache)),
-      GapCeiling(gapCeiling(Machine)), AM(&PP.analysis()),
-      Safety(PP.analysis().safety()), MaxPadElems(kMaxPadElems) {
-  assert(&PP.analysis().program() == &P &&
-         "pipeline built over a different program");
-  initKnobs();
-  initSeeds(pad::runPad(P, Cache, PP).Layout,
-            pad::runPadLite(P, Cache, PP).Layout);
-}
-
-CandidateGenerator::CandidateGenerator(const ir::Program &P,
                                        const MachineModel &Machine)
     : Prog(P), Cache(Machine.firstCache()), Machine(Machine),
       GapCeiling(gapCeiling(Machine)), Safety(analysis::analyzeSafety(P)),

@@ -37,23 +37,14 @@ namespace search {
 
 class CandidateGenerator {
 public:
-  /// Analyzes \p P once (safety, heuristic seeds). \p P must outlive the
-  /// generator.
-  CandidateGenerator(const ir::Program &P, const CacheConfig &Cache);
-  CandidateGenerator(ir::Program &&, const CacheConfig &) = delete;
-
-  /// Machine-model variants: moves and repair run at the first cache
-  /// level's geometry (identical to the CacheConfig constructors on a
-  /// single-level machine), gap moves may reach the largest level's way
-  /// span, and on a multi-level machine the seed set additionally
-  /// carries the multi-level PAD projection (applyPadding over every
-  /// level). The PAD baseline seed stays first either way.
+  /// Analyzes \p P once (safety, heuristic seeds). \p P must outlive
+  /// the generator. Moves and repair run at the first cache level's
+  /// geometry, gap moves may reach the largest level's way span, and on
+  /// a multi-level machine the seed set additionally carries the
+  /// multi-level PAD projection (applyPadding over every level). The
+  /// PAD baseline seed stays first either way.
   CandidateGenerator(const ir::Program &P, const MachineModel &Machine);
   CandidateGenerator(ir::Program &&, const MachineModel &) = delete;
-  CandidateGenerator(const ir::Program &P, const MachineModel &Machine,
-                     pipeline::PadPipeline &PP);
-  CandidateGenerator(ir::Program &&, const MachineModel &,
-                     pipeline::PadPipeline &) = delete;
 
   /// As above through an instrumented pipeline over the same program:
   /// safety comes from \p PP.analysis(), the heuristic seeds run through
@@ -62,9 +53,9 @@ public:
   /// groups per candidate. \p PP must outlive the generator and is only
   /// touched from the thread calling neighbors()/perturb() — the manager
   /// is not thread-safe.
-  CandidateGenerator(const ir::Program &P, const CacheConfig &Cache,
+  CandidateGenerator(const ir::Program &P, const MachineModel &Machine,
                      pipeline::PadPipeline &PP);
-  CandidateGenerator(ir::Program &&, const CacheConfig &,
+  CandidateGenerator(ir::Program &&, const MachineModel &,
                      pipeline::PadPipeline &) = delete;
 
   /// Deterministic seed candidates, deduplicated, PAD's projection

@@ -13,58 +13,46 @@
 #include "exec/TraceRunner.h"
 #include "pipeline/AnalysisManager.h"
 
-#include <algorithm>
-#include <cassert>
 #include <optional>
 
 using namespace padx;
 using namespace padx::search;
 
-CostModel::~CostModel() = default;
-
-void CostModel::evaluateBatch(std::span<const layout::DataLayout> DLs,
-                              std::span<CostSample> Out) const {
-  assert(DLs.size() == Out.size() && "one sample slot per layout");
-  for (size_t I = 0; I != DLs.size(); ++I)
-    Out[I] = evaluate(DLs[I]);
-}
-
 namespace {
 
-/// Default lane count for batched replay (SimulationCostModel with
-/// replay prepared and no explicit width request). Chosen from
-/// bench/replay_speedup --batch-sweep on the search corpus: 16 lanes
-/// fill the AVX-512 one-zmm probe (one 16-way gather per access) and
-/// measure 3-4x sequential on every corpus program, ahead of 8 lanes
-/// (~2x) at every trace size tested — even 128-access toys still come
-/// out ahead of sequential replay.
-constexpr unsigned kDefaultBatchLanes = 16;
-
 /// Per-thread replay state. The recorded trace is shared read-only; the
-/// replayer (whose stride-delta caches are mutable), its batched
-/// K-lane sibling, and the cache simulator are per worker. Keyed by the
-/// trace's process-unique id so pool threads that outlive one search
-/// re-initialize cleanly for the next; the shared_ptr keeps the keyed
-/// trace alive for as long as the worker holds it.
+/// replayer (whose stride-delta caches are mutable) and the simulator
+/// are per worker. Keyed by the trace's process-unique id so pool
+/// threads that outlive one search re-initialize cleanly for the next;
+/// the shared_ptr keeps the keyed trace alive for as long as the worker
+/// holds it.
 struct ReplayWorkerState {
   std::shared_ptr<const exec::RecordedTrace> Trace;
   std::optional<exec::TraceReplayer> Replayer;
+  /// Single-cache-level machines probe one packed CacheSim ...
   std::optional<sim::CacheSim> Sim;
   CacheConfig SimConfig;
-  /// Keyed separately from the sequential pair above: the two paths
-  /// can interleave on one worker without invalidating each other.
-  std::shared_ptr<const exec::RecordedTrace> BatchTrace;
-  std::optional<exec::MultiTraceReplayer> Batcher;
-  CacheConfig BatchConfig;
-  /// Multi-level path: its own trace/replayer pair plus a hierarchy,
-  /// keyed by machine, reset between evaluations.
-  std::shared_ptr<const exec::RecordedTrace> HierTrace;
-  std::optional<exec::TraceReplayer> HierReplayer;
+  /// ... multi-level ones a hierarchy, keyed by machine. Either is
+  /// reset between evaluations.
   std::optional<sim::CacheHierarchy> Hier;
   MachineModel HierMachine;
 };
 
 thread_local ReplayWorkerState Worker;
+
+/// The sample a simulated hierarchy leaves: weighted cost plus the
+/// unweighted per-level misses.
+CostSample sampleOf(const sim::CacheHierarchy &H) {
+  CostSample S;
+  S.Accesses = H.stats(H.firstCacheLevel()).Accesses;
+  S.LevelMisses.reserve(H.numLevels());
+  for (unsigned I = 0; I != H.numLevels(); ++I) {
+    double Misses = static_cast<double>(H.stats(I).Misses);
+    S.LevelMisses.push_back(Misses);
+    S.Cost += H.level(I).Weight * Misses;
+  }
+  return S;
+}
 
 } // namespace
 
@@ -72,61 +60,19 @@ void SimulationCostModel::prepareReplay(const ir::Program &P) {
   Trace = exec::RecordedTrace::record(P);
 }
 
-unsigned SimulationCostModel::batchWidth() const {
-  // The K-lane batcher probes one cache level; hierarchy evaluations
-  // run sequentially per candidate.
-  if (!usingReplay() || !Machine.isSingleLevel())
-    return 1;
-  unsigned K = RequestedBatch ? RequestedBatch : kDefaultBatchLanes;
-  return std::min(K, exec::MultiTraceReplayer::kMaxLanes);
-}
-
-void SimulationCostModel::evaluateBatch(
-    std::span<const layout::DataLayout> DLs,
-    std::span<CostSample> Out) const {
-  assert(DLs.size() == Out.size() && "one sample slot per layout");
-  const unsigned W = batchWidth();
-  if (W <= 1 || DLs.size() <= 1 ||
-      (!DLs.empty() && &DLs[0].program() != &Trace->program())) {
-    CostModel::evaluateBatch(DLs, Out);
-    return;
-  }
-  if (!Worker.BatchTrace || Worker.BatchTrace->id() != Trace->id() ||
-      Worker.BatchConfig != Cache) {
-    Worker.BatchTrace = Trace;
-    Worker.Batcher.emplace(*Trace, Cache);
-    Worker.BatchConfig = Cache;
-  }
-  sim::CacheStats Stats[exec::MultiTraceReplayer::kMaxLanes];
-  for (size_t Begin = 0; Begin != DLs.size();) {
-    const size_t N = std::min<size_t>(W, DLs.size() - Begin);
-    Worker.Batcher->replay(DLs.subspan(Begin, N),
-                           std::span<sim::CacheStats>(Stats, N));
-    for (size_t I = 0; I != N; ++I)
-      Out[Begin + I] = {static_cast<double>(Stats[I].Misses),
-                        Stats[I].Accesses,
-                        {static_cast<double>(Stats[I].Misses)}};
-    Begin += N;
-  }
-}
-
-CostSample SimulationCostModel::evaluateMachine(
+CostSample SimulationCostModel::evaluate(
     const layout::DataLayout &DL) const {
-  auto SampleOf = [&](const sim::CacheHierarchy &H) {
-    CostSample S;
-    S.Accesses = H.stats(H.firstCacheLevel()).Accesses;
-    S.LevelMisses.reserve(H.numLevels());
-    for (unsigned I = 0; I != H.numLevels(); ++I) {
-      double Misses = static_cast<double>(H.stats(I).Misses);
-      S.LevelMisses.push_back(Misses);
-      S.Cost += H.level(I).Weight * Misses;
-    }
-    return S;
-  };
-  if (Trace && &DL.program() == &Trace->program()) {
-    if (!Worker.HierTrace || Worker.HierTrace->id() != Trace->id()) {
-      Worker.HierTrace = Trace;
-      Worker.HierReplayer.emplace(*Trace);
+  const bool Replay = Trace && &DL.program() == &Trace->program();
+  if (Replay && (!Worker.Trace || Worker.Trace->id() != Trace->id())) {
+    Worker.Trace = Trace;
+    Worker.Replayer.emplace(*Trace);
+  }
+  if (!Machine.isSingleLevel()) {
+    if (!Replay) {
+      sim::CacheHierarchy H(Machine);
+      exec::HierarchySink Sink(H);
+      exec::TraceRunner(DL.program(), DL).run(Sink);
+      return sampleOf(H);
     }
     if (!Worker.Hier || Worker.HierMachine != Machine) {
       Worker.Hier.emplace(Machine);
@@ -134,44 +80,29 @@ CostSample SimulationCostModel::evaluateMachine(
     } else {
       Worker.Hier->reset();
     }
-    Worker.HierReplayer->replay(DL, *Worker.Hier);
-    return SampleOf(*Worker.Hier);
+    Worker.Replayer->replay(DL, *Worker.Hier);
+    return sampleOf(*Worker.Hier);
   }
-  sim::CacheHierarchy H(Machine);
-  exec::HierarchySink Sink(H);
-  exec::TraceRunner Runner(DL.program(), DL);
-  Runner.run(Sink);
-  return SampleOf(H);
-}
-
-CostSample SimulationCostModel::evaluate(
-    const layout::DataLayout &DL) const {
-  if (!Machine.isSingleLevel())
-    return evaluateMachine(DL);
-  // Weight_l1 is 1.0 for every CacheConfig-constructed model, keeping
-  // this path's cost exactly the miss count.
-  const double W = Machine.Levels.front().Weight;
-  if (Trace && &DL.program() == &Trace->program()) {
-    if (!Worker.Trace || Worker.Trace->id() != Trace->id()) {
-      Worker.Trace = Trace;
-      Worker.Replayer.emplace(*Trace);
-    }
-    if (!Worker.Sim || Worker.SimConfig != Cache) {
-      Worker.Sim.emplace(Cache);
-      Worker.SimConfig = Cache;
-    } else {
-      Worker.Sim->reset();
-    }
-    Worker.Replayer->replay(DL, *Worker.Sim);
-    double Misses = static_cast<double>(Worker.Sim->stats().Misses);
-    return {W * Misses, Worker.Sim->stats().Accesses, {Misses}};
+  // One unit-weight level keeps this path's cost exactly the miss count.
+  const CacheLevel &L1 = Machine.Levels.front();
+  auto SampleOf = [&](const sim::CacheSim &Sim) {
+    double Misses = static_cast<double>(Sim.stats().Misses);
+    return CostSample{L1.Weight * Misses, Sim.stats().Accesses, {Misses}};
+  };
+  if (!Replay) {
+    sim::CacheSim Sim(L1.Geometry);
+    exec::CacheSimSink Sink(Sim);
+    exec::TraceRunner(DL.program(), DL).run(Sink);
+    return SampleOf(Sim);
   }
-  sim::CacheSim Sim(Cache);
-  exec::CacheSimSink Sink(Sim);
-  exec::TraceRunner Runner(DL.program(), DL);
-  Runner.run(Sink);
-  double Misses = static_cast<double>(Sim.stats().Misses);
-  return {W * Misses, Sim.stats().Accesses, {Misses}};
+  if (!Worker.Sim || Worker.SimConfig != L1.Geometry) {
+    Worker.Sim.emplace(L1.Geometry);
+    Worker.SimConfig = L1.Geometry;
+  } else {
+    Worker.Sim->reset();
+  }
+  Worker.Replayer->replay(DL, *Worker.Sim);
+  return SampleOf(*Worker.Sim);
 }
 
 CostSample StaticCostModel::evaluate(const layout::DataLayout &DL) const {
@@ -192,16 +123,13 @@ CostSample StaticCostModel::evaluate(const layout::DataLayout &DL) const {
       return SampleOf(AM->machineLatticePrediction(DL, Machine));
     return SampleOf(analysis::predictConflicts(DL, Machine));
   }
-  const double W = Machine.Levels.front().Weight;
-  if (AM && &DL.program() == &AM->program()) {
-    const analysis::LatticePrediction &E =
-        AM->latticePrediction(DL, Cache);
-    return {W * E.PredictedMisses,
-            static_cast<uint64_t>(E.PredictedAccesses),
-            {E.PredictedMisses}};
-  }
-  analysis::LatticePrediction E = analysis::predictConflicts(DL, Cache);
-  return {W * E.PredictedMisses,
-          static_cast<uint64_t>(E.PredictedAccesses),
-          {E.PredictedMisses}};
+  const CacheLevel &L1 = Machine.Levels.front();
+  auto SampleOf = [&](const analysis::LatticePrediction &E) {
+    return CostSample{L1.Weight * E.PredictedMisses,
+                      static_cast<uint64_t>(E.PredictedAccesses),
+                      {E.PredictedMisses}};
+  };
+  if (AM && &DL.program() == &AM->program())
+    return SampleOf(AM->latticePrediction(DL, L1.Geometry));
+  return SampleOf(analysis::predictConflicts(DL, L1.Geometry));
 }

@@ -17,7 +17,6 @@
 #include <exception>
 #include <limits>
 #include <set>
-#include <span>
 #include <sstream>
 
 using namespace padx;
@@ -29,6 +28,19 @@ namespace {
 /// duplicates) before the search concludes the neighborhood is
 /// exhausted. Purely a liveness guard; budget is the real bound.
 constexpr unsigned kMaxDryRounds = 16;
+/// Neighbors proposed per hill-climb round.
+constexpr unsigned kNeighborsPerRound = 8;
+/// Rounds without improvement before restarting from a perturbed seed.
+constexpr unsigned kMaxStaleRounds = 2;
+/// Random moves applied to a seed on restart.
+constexpr unsigned kRestartPerturbMoves = 3;
+/// Prune candidates whose static estimate exceeds the incumbent's by
+/// this factor before paying for simulation. Not applied while
+/// pre-screening is active (the rank cut subsumes it).
+constexpr double kPruneSlack = 1.10;
+/// Fraction of each round's fresh candidates the active pre-screen
+/// keeps for exact evaluation (at least one survives per round).
+constexpr double kPrescreenKeep = 0.5;
 
 } // namespace
 
@@ -68,43 +80,27 @@ namespace {
 /// stays manager-free.
 SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
                            pipeline::PadPipeline &PP) {
-  const MachineModel Machine = Opts.machine();
+  const MachineModel &Machine = Opts.Machine;
   CandidateGenerator Gen(P, Machine, PP);
   for (const layout::DataLayout &DL : Opts.SeedLayouts)
     Gen.addSeedLayout(DL);
   SimulationCostModel Exact(Machine);
-  if (Opts.UseReplay)
-    Exact.prepareReplay(P);
-  Exact.setBatchWidth(Opts.BatchK);
+  Exact.prepareReplay(P);
   StaticCostModel Static(Machine, &PP.analysis());
   ThreadPool Pool(Opts.Threads);
   std::mt19937_64 Rng(Opts.Seed);
 
   const std::vector<Candidate> &Seeds = Gen.seeds();
   SearchResult R(materialize(P, Seeds[Gen.padSeedIndex()]));
-  const unsigned Width = std::max(1u, Exact.batchWidth());
-  R.BatchWidth = Width;
 
-  // Exact-scores a batch on the pool; results land by submission index,
-  // so reductions below are thread-count independent. The queue is
-  // handed to the model in chunks of its preferred batch width — one
-  // pool task per chunk, one trace pass per chunk when the model
-  // replays batched — and the chunk boundaries depend only on the
-  // submission order, never on thread scheduling, so the determinism
-  // contract is untouched.
+  // Exact-scores a batch on the pool, one candidate per task; results
+  // land by submission index, so reductions below are thread-count
+  // independent.
   auto evaluateBatch = [&](const std::vector<Candidate> &Batch) {
     const auto Begin = std::chrono::steady_clock::now();
     std::vector<CostSample> Samples(Batch.size());
-    const size_t NumChunks = (Batch.size() + Width - 1) / Width;
-    Pool.parallelFor(NumChunks, [&](size_t Chunk) {
-      const size_t First = Chunk * Width;
-      const size_t N = std::min<size_t>(Width, Batch.size() - First);
-      std::vector<layout::DataLayout> Layouts;
-      Layouts.reserve(N);
-      for (size_t I = 0; I != N; ++I)
-        Layouts.push_back(materialize(P, Batch[First + I]));
-      Exact.evaluateBatch(Layouts,
-                          std::span<CostSample>(&Samples[First], N));
+    Pool.parallelFor(Batch.size(), [&](size_t I) {
+      Samples[I] = Exact.evaluate(materialize(P, Batch[I]));
     });
     R.ExactEvaluations += static_cast<unsigned>(Batch.size());
     R.ExactEvalSeconds +=
@@ -129,6 +125,7 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
   R.PadLevelMisses = SeedSamples[Gen.padSeedIndex()].LevelMisses;
   for (unsigned I = 0; I != Machine.numLevels(); ++I)
     R.LevelNames.push_back(Machine.levelName(I));
+  R.FirstCacheLevel = Machine.firstCacheLevel();
   {
     Candidate Zero = zeroCandidate(P);
     auto It = std::find(Seeds.begin(), Seeds.end(), Zero);
@@ -154,7 +151,7 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
   if (PrescreenOn) {
     std::ostringstream OS;
     OS << "prescreen active (" << prescreenModeName(Opts.Prescreen)
-       << "): replaying top " << Opts.PrescreenKeep
+       << "): replaying top " << kPrescreenKeep
        << " of each round statically ranked by " << Static.name();
     R.Log.push_back(OS.str());
   }
@@ -232,7 +229,7 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
     // replayed top — and the stall backfill below recovers even that
     // when the top fraction finds nothing.
     std::vector<Candidate> Proposed =
-        Gen.neighbors(Current, Rng, Opts.NeighborsPerRound);
+        Gen.neighbors(Current, Rng, kNeighborsPerRound);
     R.CandidatesGenerated += static_cast<unsigned>(Proposed.size());
     if (Proposed.empty()) {
       // Program has no padding-safe knobs at all.
@@ -265,10 +262,8 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
       std::vector<double> Est(Fresh.size());
       for (size_t I = 0; I != Fresh.size(); ++I)
         Est[I] = Static.evaluate(materialize(P, Fresh[I])).Cost;
-      double KeepFrac =
-          std::min(1.0, std::max(0.0, Opts.PrescreenKeep));
       size_t Keep = std::max<size_t>(
-          1, static_cast<size_t>(Fresh.size() * KeepFrac));
+          1, static_cast<size_t>(Fresh.size() * kPrescreenKeep));
       if (Keep < Fresh.size()) {
         std::vector<size_t> Idx(Fresh.size());
         for (size_t I = 0; I != Idx.size(); ++I)
@@ -290,12 +285,12 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
         }
         Fresh = std::move(Kept);
       }
-    } else if (Opts.PruneSlack > 0 && Fresh.size() > 1) {
+    } else if (Fresh.size() > 1) {
       // Rank by the cheap model first; only simulate candidates the
       // estimator does not consider clearly worse than the incumbent.
       double Incumbent =
           Static.evaluate(materialize(P, Current)).Cost;
-      double Threshold = Incumbent * Opts.PruneSlack;
+      double Threshold = Incumbent * kPruneSlack;
       std::vector<double> Est(Fresh.size());
       for (size_t I = 0; I != Fresh.size(); ++I)
         Est[I] = Static.evaluate(materialize(P, Fresh[I])).Cost;
@@ -383,13 +378,13 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
         ++Stale;
     }
 
-    if (Stale > Opts.MaxStaleRounds && Budget > 0) {
+    if (Stale > kMaxStaleRounds && Budget > 0) {
       // Local optimum: restart the climb from a perturbed heuristic
       // seed; the global best is kept aside.
       ++R.Restarts;
       Stale = 0;
       Current = Gen.perturb(Seeds[R.Restarts % Seeds.size()], Rng,
-                            Opts.RestartPerturbMoves);
+                            kRestartPerturbMoves);
       CurrentCost = std::numeric_limits<double>::infinity();
       if (Seen.insert(Current.key()).second && Budget > 0) {
         std::vector<CostSample> S = evaluateBatch({Current});
@@ -431,7 +426,7 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
 
 SearchResult search::runSearch(const ir::Program &P,
                                const SearchOptions &Opts) {
-  pipeline::PadPipeline PP(P, Opts.AnalysisCache);
+  pipeline::PadPipeline PP(P);
   return runSearch(P, Opts, PP);
 }
 

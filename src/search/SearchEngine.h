@@ -11,7 +11,7 @@
 /// (so the result is never worse than PAD), neighbors are proposed by
 /// the CandidateGenerator, cheap static estimation prunes unpromising
 /// ones, and the survivors are scored exactly by trace-driven simulation
-/// — concurrently, on a support::ThreadPool.
+/// — one candidate per task, concurrently, on a support::ThreadPool.
 ///
 /// Determinism contract: for a fixed program, options and seed the
 /// result is bit-identical for every thread count. All randomness runs
@@ -50,20 +50,11 @@ enum class PrescreenMode { Off, On, Auto };
 const char *prescreenModeName(PrescreenMode M);
 
 struct SearchOptions {
-  CacheConfig Cache = CacheConfig::base16K();
-
-  /// Machine model to optimize for. Empty (the default) means the
-  /// single level \p Cache — the pre-hierarchy behavior, bit-identical.
-  /// With levels set, \p Cache is ignored and the climb ranks by the
-  /// weighted per-level miss cost sum_l Weight_l * Misses_l
-  /// (--machine / --weights on the tools).
-  MachineModel Machine;
-
-  /// The machine the search effectively runs on.
-  MachineModel machine() const {
-    return Machine.Levels.empty() ? MachineModel::singleLevel(Cache)
-                                  : Machine;
-  }
+  /// Machine model to optimize for. The climb ranks by the weighted
+  /// per-level miss cost sum_l Weight_l * Misses_l, which on the
+  /// default one-level machine is the plain miss count (--machine /
+  /// --weights on the tools).
+  MachineModel Machine = MachineModel::base16K();
 
   /// Maximum exact (simulation) evaluations — the search's time budget.
   /// Raised to the seed count when smaller: the baselines always run.
@@ -82,25 +73,11 @@ struct SearchOptions {
   /// than the warm start.
   std::vector<layout::DataLayout> SeedLayouts;
 
-  /// Neighbors proposed per hill-climb round.
-  unsigned NeighborsPerRound = 8;
-  /// Rounds without improvement before restarting from a perturbed seed.
-  unsigned MaxStaleRounds = 2;
-  /// Random moves applied to a seed on restart.
-  unsigned RestartPerturbMoves = 3;
-
-  /// Prune candidates whose static estimate exceeds the incumbent's by
-  /// this factor before paying for simulation. <= 0 disables pruning.
-  /// Ignored while pre-screening is active (the rank cut subsumes it).
-  double PruneSlack = 1.10;
-
-  /// Two-tier pre-screened evaluation (--prescreen on the tools). The
-  /// seed candidates are exempt — they always replay, preserving the
-  /// "never worse than PAD" guarantee.
+  /// Two-tier pre-screened evaluation (--prescreen on the tools): each
+  /// round replays only the statically best-ranked half of its fresh
+  /// candidates. The seed candidates are exempt — they always replay,
+  /// preserving the "never worse than PAD" guarantee.
   PrescreenMode Prescreen = PrescreenMode::Off;
-  /// Fraction of each round's fresh candidates the active pre-screen
-  /// keeps for exact evaluation (at least one survives per round).
-  double PrescreenKeep = 0.5;
 
   /// Wall-clock deadline in seconds (0 = none). The seed evaluations
   /// always run — they carry the "never worse than PAD" guarantee — but
@@ -113,32 +90,6 @@ struct SearchOptions {
   /// front end shedding load) to stop the climb at the next batch
   /// boundary with a Cancelled outcome.
   const std::atomic<bool> *Cancel = nullptr;
-
-  /// Record the program's access stream once and replay it per candidate
-  /// instead of re-walking the IR for every exact evaluation. Results
-  /// are bit-identical either way; this is purely a speed knob (and the
-  /// escape hatch when the recorder misbehaves: --replay off). Programs
-  /// the recorder declines (indirect subscripts) fall back to direct
-  /// tracing automatically.
-  bool UseReplay = true;
-
-  /// Lanes per batched exact-evaluation pass: the replayer streams the
-  /// recorded trace once while scoring this many candidates in
-  /// parallel lanes. 0 = auto (the cost model's tuned default), 1 =
-  /// sequential replay; capped at exec::MultiTraceReplayer::kMaxLanes
-  /// and ignored when replay is off or declined. Results are
-  /// bit-identical at every width — like UseReplay, purely a
-  /// throughput knob (--batch on the tools).
-  unsigned BatchK = 0;
-
-  /// Memoize analysis results (reference groups, iteration counts,
-  /// static estimates, conflict reports) in the pipeline's
-  /// AnalysisManager across candidate evaluations. Results are
-  /// bit-identical either way; like UseReplay this is purely a speed
-  /// knob (--analysis-cache off is the escape hatch and the benchmark
-  /// baseline). Ignored by the pipeline overload of runSearch, which
-  /// uses the caller's pipeline as built.
-  bool AnalysisCache = true;
 };
 
 /// Why the search stopped. Everything except Completed is a degraded
@@ -165,11 +116,11 @@ struct SearchResult {
   SearchOutcome Outcome = SearchOutcome::Completed;
   std::string OutcomeDetail;
 
-  /// Exact (simulated) scores. On a single-level machine these are miss
-  /// counts; on a multi-level one they are weighted per-level miss
-  /// costs (sum_l Weight_l * Misses_l) — the quantity the climb ranks
-  /// by — with the unweighted per-level counts in the Level* arrays
-  /// below. Accesses counts the first cache level either way.
+  /// Exact (simulated) scores: weighted per-level miss costs
+  /// (sum_l Weight_l * Misses_l) — the quantity the climb ranks by —
+  /// with the unweighted per-level counts in the Level* arrays below.
+  /// On a unit-weight single-level machine the costs are miss counts.
+  /// Accesses counts the first cache level.
   double BestMisses = 0;
   uint64_t Accesses = 0;
   double OriginalMisses = 0;
@@ -183,10 +134,15 @@ struct SearchResult {
   std::vector<double> BestLevelMisses;
   std::vector<double> OriginalLevelMisses;
   std::vector<double> PadLevelMisses;
+  /// Index into the Level* arrays of the first cache level — the level
+  /// Accesses counts.
+  unsigned FirstCacheLevel = 0;
 
-  double bestPercent() const { return percent(BestMisses); }
-  double originalPercent() const { return percent(OriginalMisses); }
-  double padPercent() const { return percent(PadMisses); }
+  /// First-cache-level miss rates in percent: that level's unweighted
+  /// misses over Accesses, so never above 100 whatever the weights.
+  double bestPercent() const { return percent(BestLevelMisses); }
+  double originalPercent() const { return percent(OriginalLevelMisses); }
+  double padPercent() const { return percent(PadLevelMisses); }
 
   // Search statistics for the report.
   unsigned CandidatesGenerated = 0; ///< Proposed, including duplicates.
@@ -200,7 +156,9 @@ struct SearchResult {
   unsigned ExactEvaluations = 0;
   unsigned Rounds = 0;
   unsigned Restarts = 0;
-  /// Effective lanes per batched exact-evaluation pass (1 = sequential).
+  /// Candidates scored per exact evaluation: always 1, since the search
+  /// replays one candidate at a time (batched replay is a bench and
+  /// probe engine, exec::MultiTraceReplayer).
   unsigned BatchWidth = 1;
   /// Wall-clock seconds spent inside exact-evaluation batches; with
   /// ExactEvaluations this yields the candidates/sec the tools report.
@@ -213,16 +171,17 @@ struct SearchResult {
       : BestLayout(std::move(Layout)) {}
 
 private:
-  double percent(double Misses) const {
-    return Accesses == 0
+  double percent(const std::vector<double> &LevelMisses) const {
+    return Accesses == 0 || FirstCacheLevel >= LevelMisses.size()
                ? 0.0
-               : 100.0 * Misses / static_cast<double>(Accesses);
+               : 100.0 * LevelMisses[FirstCacheLevel] /
+                     static_cast<double>(Accesses);
   }
 };
 
 /// Runs the search on \p P. \p P must outlive the result (the layout
-/// references it). Builds a private pipeline honoring
-/// SearchOptions::AnalysisCache and forwards to the overload below.
+/// references it). Builds a private memoizing pipeline and forwards to
+/// the overload below.
 SearchResult runSearch(const ir::Program &P, const SearchOptions &Opts);
 SearchResult runSearch(ir::Program &&, const SearchOptions &) = delete;
 

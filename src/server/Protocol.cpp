@@ -9,6 +9,7 @@
 #include "support/JsonWriter.h"
 #include "support/MathExtras.h"
 
+#include <limits>
 #include <sstream>
 
 using namespace padx;
@@ -60,6 +61,8 @@ bool parseOp(const std::string &Name, Op &O) {
   return true;
 }
 
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
 bool needsSource(Op O) {
   return O == Op::Pad || O == Op::PadLite || O == Op::Lint ||
          O == Op::Search;
@@ -83,14 +86,22 @@ bool validGeometry(const CacheConfig &C, std::string &Error) {
   return true;
 }
 
-bool nonNegative(const support::JsonValue &Doc, const char *Field,
-                 int64_t &Out, std::string &Error) {
-  Out = Doc.getInt(Field, Out);
-  if (Out < 0) {
-    Error = std::string("field '") + Field + "' must be >= 0";
-    return false;
+/// Reads the optional integer field \p Field into \p Out, which keeps
+/// its default when the field is absent. A present value must be an
+/// integer in [Min, Max]: a non-number, a fraction or an out-of-range
+/// value is an error naming the field, never a truncation or a wrap.
+bool intField(const support::JsonValue &Doc, const char *Field,
+              int64_t Min, int64_t Max, int64_t &Out, std::string &Error) {
+  const support::JsonValue *V = Doc.find(Field);
+  if (!V)
+    return true;
+  if (V->isInt64() && V->asInt64() >= Min && V->asInt64() <= Max) {
+    Out = V->asInt64();
+    return true;
   }
-  return true;
+  Error = std::string("field '") + Field + "' must be an integer in [" +
+          std::to_string(Min) + ", " + std::to_string(Max) + "]";
+  return false;
 }
 
 } // namespace
@@ -108,11 +119,8 @@ bool server::parseRequest(const support::JsonValue &Doc, Request &R,
     Error = "missing or non-numeric 'id'";
     return false;
   }
-  R.Id = IdV->asInt64();
-  if (R.Id < 0) {
-    Error = "'id' must be >= 0";
+  if (!intField(Doc, "id", 0, kInt64Max, R.Id, Error))
     return false;
-  }
 
   const support::JsonValue *OpV = Doc.find("op");
   if (!OpV || !OpV->isString()) {
@@ -135,16 +143,9 @@ bool server::parseRequest(const support::JsonValue &Doc, Request &R,
   }
   R.Filename = Doc.getString("filename", "<request>");
 
-  R.Cache.SizeBytes = Doc.getInt("cache", R.Cache.SizeBytes);
-  R.Cache.LineBytes = Doc.getInt("line", R.Cache.LineBytes);
-  R.Cache.Associativity =
-      static_cast<int>(Doc.getInt("assoc", R.Cache.Associativity));
-  if (needsSource(R.Operation) && !validGeometry(R.Cache, Error))
-    return false;
-
-  // Optional machine hierarchy; overrides cache/line/assoc. Weights may
-  // also be applied to the implicit single-level machine, in which case
-  // the result is pinned into R.Machine so the override survives.
+  // The machine: the "machine" field when present, else the single
+  // level from cache/line/assoc (validated only then). Weights apply to
+  // whichever machine that resolved to.
   if (const support::JsonValue *MV = Doc.find("machine")) {
     if (!MV->isString()) {
       Error = "field 'machine' must be a string (preset or spec)";
@@ -155,20 +156,29 @@ bool server::parseRequest(const support::JsonValue &Doc, Request &R,
       Error = "bad 'machine': " + MErr;
       return false;
     }
-    R.Cache = R.Machine.firstCache();
+  } else {
+    CacheConfig Cache = CacheConfig::base16K();
+    int64_t Assoc = Cache.Associativity;
+    if (!intField(Doc, "cache", 1, kInt64Max, Cache.SizeBytes, Error) ||
+        !intField(Doc, "line", 1, kInt64Max, Cache.LineBytes, Error) ||
+        !intField(Doc, "assoc", 0, std::numeric_limits<int>::max(), Assoc,
+                  Error))
+      return false;
+    Cache.Associativity = static_cast<int>(Assoc);
+    if (needsSource(R.Operation) && !validGeometry(Cache, Error))
+      return false;
+    R.Machine = MachineModel::singleLevel(Cache);
   }
   if (const support::JsonValue *WV = Doc.find("weights")) {
     if (!WV->isString()) {
       Error = "field 'weights' must be a string like \"l1=1,l2=8\"";
       return false;
     }
-    MachineModel M = R.machine();
     std::string WErr;
-    if (!M.applyWeights(WV->asString(), &WErr)) {
+    if (!R.Machine.applyWeights(WV->asString(), &WErr)) {
       Error = "bad 'weights': " + WErr;
       return false;
     }
-    R.Machine = std::move(M);
   }
 
   R.Format = Doc.getString("format", R.Format);
@@ -180,25 +190,21 @@ bool server::parseRequest(const support::JsonValue &Doc, Request &R,
   }
 
   R.Emit = Doc.getBool("emit", R.Emit);
-  R.UseReplay = Doc.getBool("replay", R.UseReplay);
 
   R.DeadlineMs = Doc.getDouble("deadline_ms", 0);
   if (R.DeadlineMs < 0) {
     Error = "field 'deadline_ms' must be >= 0";
     return false;
   }
-  if (!nonNegative(Doc, "max_footprint", R.MaxFootprintBytes, Error) ||
-      !nonNegative(Doc, "max_accesses", R.MaxAccesses, Error) ||
-      !nonNegative(Doc, "memory_budget", R.MemoryBudgetBytes, Error))
-    return false;
-
-  R.SearchBudget = Doc.getInt("budget", R.SearchBudget);
-  if (R.SearchBudget <= 0) {
-    Error = "field 'budget' must be positive";
-    return false;
-  }
-  R.SearchSeed = Doc.getInt("seed", R.SearchSeed);
-  if (!nonNegative(Doc, "batch", R.SearchBatch, Error))
+  if (!intField(Doc, "max_footprint", 0, kInt64Max, R.MaxFootprintBytes,
+                Error) ||
+      !intField(Doc, "max_accesses", 0, kInt64Max, R.MaxAccesses, Error) ||
+      !intField(Doc, "memory_budget", 0, kInt64Max, R.MemoryBudgetBytes,
+                Error) ||
+      !intField(Doc, "budget", 1, std::numeric_limits<uint32_t>::max(),
+                R.SearchBudget, Error) ||
+      !intField(Doc, "seed", std::numeric_limits<int64_t>::min(),
+                kInt64Max, R.SearchSeed, Error))
     return false;
   R.SearchPrescreen = Doc.getString("prescreen", R.SearchPrescreen);
   if (R.SearchPrescreen != "off" && R.SearchPrescreen != "on" &&

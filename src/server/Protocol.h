@@ -79,14 +79,14 @@ struct Request {
   std::string Source;   ///< PadLang text (pad/padlite/lint/search).
   std::string Filename; ///< Report label; default "<request>".
 
-  CacheConfig Cache = CacheConfig::base16K();
-  /// Multi-level machine from the optional "machine" request field (a
-  /// preset name or spec string, the --machine grammar); the optional
-  /// "weights" field overrides level weights ("l1=1,l2=8"). Empty —
-  /// the back-compat default — means the single level described by the
-  /// cache/line/assoc fields, and responses keep their pre-hierarchy
-  /// shape. When "machine" is present, cache/line/assoc are ignored.
-  MachineModel Machine;
+  /// The machine the request targets, resolved once at parse time:
+  /// the optional "machine" field (a preset name or spec string, the
+  /// --machine grammar), or else the single level the cache/line/assoc
+  /// fields describe (default: the paper's 16K direct-mapped cache).
+  /// The optional "weights" field overrides level weights
+  /// ("l1=1,l2=8"). Single-level machines keep the pre-hierarchy
+  /// response shape.
+  MachineModel Machine = MachineModel::base16K();
   std::string Format = "text"; ///< lint: text | json | sarif.
   bool Emit = true;            ///< Include the transformed source.
 
@@ -96,10 +96,8 @@ struct Request {
   int64_t MemoryBudgetBytes = 0; ///< 0 = server default.
 
   // Search knobs (search op only).
-  int64_t SearchBudget = 48;
+  int64_t SearchBudget = 48; ///< 1 .. 2^32-1 exact evaluations.
   int64_t SearchSeed = 0;
-  int64_t SearchBatch = 0; ///< Replay lanes per trace pass; 0 = auto.
-  bool UseReplay = true;
   /// Two-tier pre-screened search: "off" | "on" | "auto".
   std::string SearchPrescreen = "off";
 
@@ -108,19 +106,14 @@ struct Request {
   // under the drain deadline (DrainMs, 0 = server default).
   std::string ShutdownMode = "now";
   double DrainMs = 0;
-
-  /// The machine the request effectively targets: the parsed "machine"
-  /// field when present, else a single level from cache/line/assoc.
-  MachineModel machine() const {
-    return Machine.Levels.empty() ? MachineModel::singleLevel(Cache)
-                                  : Machine;
-  }
 };
 
 /// Validates \p Doc (one parsed frame) into \p R. On failure returns
 /// false with a human-readable reason in \p Error; \p R.Id is still
-/// filled when the frame carried one, so the error response can echo
-/// it.
+/// filled when the frame carried a valid one, so the error response
+/// can echo it. Integer fields must be integral and in range — a
+/// fraction, an out-of-range value or a non-number is rejected by name,
+/// never truncated or wrapped. Unknown fields are ignored.
 bool parseRequest(const support::JsonValue &Doc, Request &R,
                   std::string &Error);
 

@@ -377,22 +377,14 @@ std::string RequestHandler::dispatch(const Request &R) {
       return countedError(R.Id, kErrResourceExhausted, *Err);
     auto *PP = A.create<pipeline::PadPipeline>(*P, true, &Shared);
     Ctx.checkDeadline();
-    // Single-level machines take the pre-hierarchy drivers so the
-    // response stays byte-identical to the CLI and to older clients.
-    const MachineModel Machine = R.machine();
-    pad::PaddingResult Res =
-        Machine.isSingleLevel()
-            ? (R.Operation == Op::PadLite
-                   ? pad::runPadLite(*P, R.Cache, *PP)
-                   : pad::runPad(*P, R.Cache, *PP))
-            : pad::applyPadding(*P, Machine,
-                                R.Operation == Op::PadLite
-                                    ? pad::PaddingScheme::padLite()
-                                    : pad::PaddingScheme::pad(),
-                                *PP);
+    pad::PaddingResult Res = pad::applyPadding(
+        *P, R.Machine,
+        R.Operation == Op::PadLite ? pad::PaddingScheme::padLite()
+                                   : pad::PaddingScheme::pad(),
+        *PP);
     ResponseBuilder B(R.Id, R.Operation, "complete");
-    if (!Machine.isSingleLevel())
-      B.writer().field("machine", Machine.spec());
+    if (!R.Machine.isSingleLevel())
+      B.writer().field("machine", R.Machine.spec());
     writePaddingResult(B.writer(), *P, Res, R.Emit);
     PredUnscored.fetch_add(PP->analysis().stats().PredictorUnscored,
                            std::memory_order_relaxed);
@@ -410,10 +402,7 @@ std::string RequestHandler::dispatch(const Request &R) {
     if (std::optional<std::string> Err = checkFootprintQuota(Ctx, DL))
       return countedError(R.Id, kErrResourceExhausted, *Err);
     auto *PP = A.create<pipeline::PadPipeline>(*P, true, &Shared);
-    lint::LintOptions LO;
-    LO.Cache = R.Cache;
-    LO.Machine = R.Machine;
-    lint::Linter L(LO);
+    lint::Linter L((lint::LintOptions(R.Machine)));
     lint::LintResult Res = L.run(DL, *PP);
     Ctx.checkDeadline();
 
@@ -424,7 +413,7 @@ std::string RequestHandler::dispatch(const Request &R) {
       Report = lint::renderText(Res, DL, R.Source, R.Filename);
     } else if (R.Format == "json") {
       std::ostringstream OS;
-      lint::writeJson(OS, Res, DL, R.Cache, R.Filename);
+      lint::writeJson(OS, Res, DL, R.Machine.firstCache(), R.Filename);
       Report = OS.str();
     } else {
       std::ostringstream OS;
@@ -440,8 +429,8 @@ std::string RequestHandler::dispatch(const Request &R) {
     ResponseBuilder B(R.Id, R.Operation, "complete");
     support::JsonWriter &JW = B.writer();
     JW.field("program", P->name());
-    if (const MachineModel M = R.machine(); !M.isSingleLevel())
-      JW.field("machine", M.spec());
+    if (!R.Machine.isSingleLevel())
+      JW.field("machine", R.Machine.spec());
     JW.field("format", R.Format);
     JW.field("findings",
              static_cast<uint64_t>(Res.Findings.size()));
@@ -487,16 +476,13 @@ std::string RequestHandler::dispatch(const Request &R) {
     // (clamped, strictly positive) DeadlineSeconds.
 
     search::SearchOptions SO;
-    SO.Cache = R.Cache;
-    SO.Machine = R.Machine; // Empty = single level from SO.Cache.
+    SO.Machine = R.Machine;
     SO.EvalBudget = static_cast<unsigned>(R.SearchBudget);
     // One worker: the request already runs on a pool thread, and
     // parallelFor must not nest (support/ThreadPool.h). Concurrency
     // comes from serving many requests, not from one climb.
     SO.Threads = 1;
     SO.Seed = static_cast<uint64_t>(R.SearchSeed);
-    SO.BatchK = static_cast<unsigned>(R.SearchBatch);
-    SO.UseReplay = R.UseReplay;
     SO.Prescreen = R.SearchPrescreen == "on"
                        ? search::PrescreenMode::On
                    : R.SearchPrescreen == "auto"
@@ -527,8 +513,8 @@ std::string RequestHandler::dispatch(const Request &R) {
     // Multi-level machines score by weighted cost; report it with the
     // unweighted per-level breakdown. Single-level responses keep the
     // pre-hierarchy shape.
-    if (const MachineModel M = R.machine(); !M.isSingleLevel()) {
-      JW.field("machine", M.spec());
+    if (!R.Machine.isSingleLevel()) {
+      JW.field("machine", R.Machine.spec());
       JW.field("original_cost", SR.OriginalMisses);
       JW.field("pad_cost", SR.PadMisses);
       JW.field("best_cost", SR.BestMisses);
@@ -548,7 +534,6 @@ std::string RequestHandler::dispatch(const Request &R) {
       JW.endArray();
     }
     JW.field("exact_evaluations", SR.ExactEvaluations);
-    JW.field("batch_width", SR.BatchWidth);
     JW.field("rounds", SR.Rounds);
     JW.field("restarts", SR.Restarts);
     JW.field("prescreen_active", SR.PrescreenActive);

@@ -15,16 +15,18 @@
 /// overflow the stack, and object members kept in insertion order (the
 /// protocol layer echoes fields back deterministically).
 ///
-/// Numbers are stored as double plus an exact-int64 flag: every quota,
-/// id and byte count the protocol carries fits in 2^53, and asInt64()
-/// round-trips integers written by JsonWriter bit-exactly.
+/// Numbers are stored as double plus an exact-int64 flag: asInt64()
+/// round-trips integers written by JsonWriter bit-exactly, and
+/// isInt64() tells integral, in-range numbers from everything else.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PADX_SUPPORT_JSON_H
 #define PADX_SUPPORT_JSON_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,11 +91,25 @@ public:
 
   bool asBool() const { return Boolean; }
   double asDouble() const { return Num; }
-  /// The exact integer when the token was integral and in range;
-  /// otherwise the truncated double (callers validate ranges
-  /// themselves).
+  /// True when the number is integral and representable as int64 (an
+  /// exact integer token, or a double like 3.0 or 1e3).
+  bool isInt64() const {
+    return K == Kind::Number &&
+           (IntExact || (Num == std::trunc(Num) && Num >= -0x1p63 &&
+                         Num < 0x1p63));
+  }
+  /// The exact integer when isInt64(); otherwise the double truncated
+  /// toward zero and saturated to the int64 range, so an out-of-range
+  /// value never reaches an undefined conversion. Protocol fields check
+  /// isInt64() first and reject everything else.
   int64_t asInt64() const {
-    return IntExact ? Int : static_cast<int64_t>(Num);
+    if (IntExact)
+      return Int;
+    if (Num >= 0x1p63)
+      return std::numeric_limits<int64_t>::max();
+    if (Num < -0x1p63)
+      return std::numeric_limits<int64_t>::min();
+    return static_cast<int64_t>(Num);
   }
   const std::string &asString() const { return Str; }
 
@@ -113,8 +129,8 @@ public:
 
   /// \name Typed field accessors with defaults (object values only).
   /// A present-but-wrong-kind field returns the default, the same as an
-  /// absent one; the protocol layer validates kinds explicitly where a
-  /// wrong kind must be a hard error.
+  /// absent one; the protocol layer validates kinds (and integer
+  /// ranges) explicitly where a wrong kind must be a hard error.
   /// @{
   int64_t getInt(std::string_view Name, int64_t Default) const {
     const JsonValue *V = find(Name);

@@ -174,7 +174,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   // Exact simulation of both layouts — the cost model is the production
   // objective function, so it must survive everything the gate admits.
-  search::SimulationCostModel Exact(Cache);
+  search::SimulationCostModel Exact(MachineModel::singleLevel(Cache));
   (void)Exact.evaluate(Pad.Layout);
   (void)Exact.evaluate(Lite.Layout);
   return 0;

@@ -12,11 +12,10 @@
 /// one-zmm 32-bit arena) — including the ragged tail chunk a
 /// non-multiple candidate count leaves — must be
 /// bit-identical to a sequential TraceReplayer into a fresh CacheSim,
-/// with MaxAccesses truncation applied. Programs the recorder declines
-/// (indirect subscripts) must keep scoring through the cost model's
-/// per-item direct fallback with unchanged results, batched entry
-/// included. Batching is a throughput lever only; any stats divergence
-/// here is a correctness bug.
+/// with MaxAccesses truncation applied. Batching is a throughput lever
+/// only; any stats divergence here is a correctness bug. (The search
+/// scores candidates one at a time; the batched replayer serves the
+/// replay benches and probes.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +23,6 @@
 #include "exec/RecordedTrace.h"
 #include "frontend/Parser.h"
 #include "search/Candidate.h"
-#include "search/CostModel.h"
 
 #include "gtest/gtest.h"
 
@@ -197,62 +195,5 @@ loop i = 1, 64 {
     Sequential.replay(Layouts[I], Sim);
     expectEqualStats(Stats[I], Sim.stats(),
                      "spanning candidate " + std::to_string(I));
-  }
-}
-
-TEST(BatchReplayEquivalence, DeclinedProgramFallsBackPerItem) {
-  // Indirect subscripts decline recording; the cost model's batched
-  // entry must degrade to the per-item direct walk with identical
-  // samples — at the requested width and at auto.
-  DiagnosticEngine Diags;
-  auto P = frontend::parseProgram(R"(program p
-array X : real[64]
-array IDX : int[64] init identity
-loop i = 1, 64 {
-  X[IDX[i]] = 2.0
-}
-)",
-                                  Diags);
-  ASSERT_TRUE(P) << Diags.str();
-  ASSERT_EQ(RecordedTrace::record(*P), nullptr);
-
-  search::SimulationCostModel M(CacheConfig::base16K());
-  M.prepareReplay(*P);
-  EXPECT_FALSE(M.usingReplay());
-  for (unsigned K : {0u, 4u}) {
-    M.setBatchWidth(K);
-    EXPECT_EQ(M.batchWidth(), 1u);
-    std::vector<layout::DataLayout> Layouts = layoutSweep(*P, 32);
-    std::vector<search::CostSample> Batch(Layouts.size());
-    M.evaluateBatch(Layouts, Batch);
-    for (size_t I = 0; I != Layouts.size(); ++I) {
-      search::CostSample Single = M.evaluate(Layouts[I]);
-      EXPECT_EQ(Batch[I].Cost, Single.Cost) << I;
-      EXPECT_EQ(Batch[I].Accesses, Single.Accesses) << I;
-    }
-  }
-}
-
-TEST(BatchReplayEquivalence, CostModelBatchMatchesPerItemReplay) {
-  // Replay-capable program: the batched cost-model entry (chunking,
-  // thread-local batcher reuse) must equal per-item evaluate().
-  ir::Program P = parseFileOrDie(
-      std::filesystem::path(PADX_CORPUS_DIR) / "small_stencil.pad");
-  search::SimulationCostModel M(CacheConfig::base16K());
-  M.prepareReplay(P);
-  ASSERT_TRUE(M.usingReplay());
-  for (unsigned K : {2u, 4u, 8u, 100u}) {
-    M.setBatchWidth(K);
-    EXPECT_EQ(M.batchWidth(),
-              std::min(K, MultiTraceReplayer::kMaxLanes));
-    std::vector<layout::DataLayout> Layouts = layoutSweep(P, 32);
-    std::vector<search::CostSample> Batch(Layouts.size());
-    M.evaluateBatch(Layouts, Batch);
-    for (size_t I = 0; I != Layouts.size(); ++I) {
-      search::CostSample Single = M.evaluate(Layouts[I]);
-      EXPECT_EQ(Batch[I].Cost, Single.Cost) << "K=" << K << " " << I;
-      EXPECT_EQ(Batch[I].Accesses, Single.Accesses)
-          << "K=" << K << " " << I;
-    }
   }
 }

@@ -20,6 +20,8 @@
 
 #include "gtest/gtest.h"
 
+#include <ostream>
+
 using namespace padx;
 
 namespace {
@@ -37,6 +39,13 @@ const Golden kGolden[] = {
     {"erle", 78.00, 19.97},   {"irr", 37.18, 37.18},
     {"shal", 80.25, 13.73},   {"mult", 7.54, 7.54},
 };
+
+// Print the kernel name, not the struct's raw bytes: those hold the
+// Kernel pointer, which changes from run to run under ASLR and would make
+// the listed test names (and so the CTest names) differ on every build.
+void PrintTo(const Golden &G, std::ostream *OS) {
+  *OS << '"' << G.Kernel << '"';
+}
 
 class GoldenMissRates : public ::testing::TestWithParam<Golden> {};
 

@@ -127,10 +127,10 @@ TEST(ReplayEquivalence, CorpusSweepIsBitIdentical) {
       // Declined programs (indirect subscripts) must say why, and the
       // cost model must transparently keep its direct path.
       EXPECT_FALSE(WhyNot.empty()) << Name;
-      search::SimulationCostModel Replay(CacheConfig::base16K());
+      search::SimulationCostModel Replay(MachineModel::base16K());
       Replay.prepareReplay(P);
       EXPECT_FALSE(Replay.usingReplay()) << Name;
-      search::SimulationCostModel Direct(CacheConfig::base16K());
+      search::SimulationCostModel Direct(MachineModel::base16K());
       layout::DataLayout DL = layout::originalLayout(P);
       search::CostSample A = Replay.evaluate(DL);
       search::CostSample B = Direct.evaluate(DL);
@@ -189,7 +189,7 @@ loop i = 1, 8 {
                                   Diags);
   ASSERT_TRUE(P) << Diags.str();
   EXPECT_EQ(RecordedTrace::record(*P), nullptr);
-  search::SimulationCostModel M(CacheConfig::base16K());
+  search::SimulationCostModel M(MachineModel::base16K());
   M.prepareReplay(*P);
   EXPECT_FALSE(M.usingReplay());
   layout::DataLayout DL = layout::originalLayout(*P);

@@ -149,8 +149,8 @@ TEST_P(PaddingProperty, SearchNeverWorseThanPad) {
   Opts.Threads = 2;
   Opts.Seed = GetParam();
   search::SearchResult R = search::runSearch(P, Opts);
-  pad::PaddingResult Pad = pad::runPad(P, Opts.Cache);
-  search::SimulationCostModel Exact(Opts.Cache);
+  pad::PaddingResult Pad = pad::runPad(P, Opts.Machine.firstCache());
+  search::SimulationCostModel Exact(Opts.Machine);
   EXPECT_LE(R.BestMisses, Exact.evaluate(Pad.Layout).Cost)
       << "seed " << GetParam();
   // And the layout it returns really has the cost it claims.

@@ -30,6 +30,7 @@ using namespace padx::search;
 namespace {
 
 const CacheConfig kCache = CacheConfig::base16K();
+const MachineModel kMachine = MachineModel::singleLevel(kCache);
 
 /// Three arrays of exactly one way span each (2048 reals = 16K), read in
 /// one uniformly generated group. Packed bases are 0, 16K, 32K, so all
@@ -56,7 +57,7 @@ loop i = 1, 2048 {
 
 TEST(CandidateGenerator, RepairBreaksConflictTiesByLowestArrayIds) {
   ir::Program P = tiedConflictProgram();
-  CandidateGenerator Gen(P, kCache);
+  CandidateGenerator Gen(P, kMachine);
 
   // Count 1 isolates the repair proposal: no random moves are drawn.
   std::mt19937_64 Rng(0);
@@ -76,7 +77,7 @@ TEST(CandidateGenerator, RepairBreaksConflictTiesByLowestArrayIds) {
 
 TEST(CandidateGenerator, RepairIsDeterministicAcrossRuns) {
   ir::Program P = tiedConflictProgram();
-  CandidateGenerator Gen(P, kCache);
+  CandidateGenerator Gen(P, kMachine);
   std::mt19937_64 RngA(7), RngB(7);
   std::vector<Candidate> A = Gen.neighbors(zeroCandidate(P), RngA, 4);
   std::vector<Candidate> B = Gen.neighbors(zeroCandidate(P), RngB, 4);
@@ -85,9 +86,9 @@ TEST(CandidateGenerator, RepairIsDeterministicAcrossRuns) {
 
 TEST(CandidateGenerator, PipelineBackedGeneratorProposesSameCandidates) {
   ir::Program P = tiedConflictProgram();
-  CandidateGenerator Legacy(P, kCache);
+  CandidateGenerator Legacy(P, kMachine);
   pipeline::PadPipeline PP(P);
-  CandidateGenerator Piped(P, kCache, PP);
+  CandidateGenerator Piped(P, kMachine, PP);
 
   EXPECT_EQ(Legacy.seeds(), Piped.seeds());
   EXPECT_EQ(Legacy.padSeedIndex(), Piped.padSeedIndex());

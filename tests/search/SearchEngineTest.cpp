@@ -89,7 +89,7 @@ TEST(Candidate, KeyDistinguishesCandidates) {
 TEST(CandidateGenerator, SeedsContainPadFirstAndAreDeduplicated) {
   ir::Program P = smallKernel("expl");
   CacheConfig Cache = CacheConfig::base16K();
-  search::CandidateGenerator Gen(P, Cache);
+  search::CandidateGenerator Gen(P, MachineModel::singleLevel(Cache));
   ASSERT_FALSE(Gen.seeds().empty());
   EXPECT_EQ(Gen.padSeedIndex(), 0u);
   EXPECT_EQ(Gen.seeds().front(),
@@ -103,7 +103,7 @@ TEST(CandidateGenerator, SeedsContainPadFirstAndAreDeduplicated) {
 TEST(CandidateGenerator, NeighborsRespectSafetyAndBounds) {
   ir::Program P = smallKernel("dgefa");
   CacheConfig Cache = CacheConfig::base16K();
-  search::CandidateGenerator Gen(P, Cache);
+  search::CandidateGenerator Gen(P, MachineModel::singleLevel(Cache));
   std::mt19937_64 Rng(7);
   search::Candidate Base = search::zeroCandidate(P);
   for (int Round = 0; Round != 20; ++Round) {
@@ -128,7 +128,7 @@ TEST(CandidateGenerator, NeighborsRespectSafetyAndBounds) {
 
 TEST(CandidateGenerator, NeighborsAreDeterministicGivenRngState) {
   ir::Program P = smallKernel("expl");
-  search::CandidateGenerator Gen(P, CacheConfig::base16K());
+  search::CandidateGenerator Gen(P, MachineModel::base16K());
   search::Candidate Base = search::zeroCandidate(P);
   std::mt19937_64 RngA(99), RngB(99);
   auto A = Gen.neighbors(Base, RngA, 8);
@@ -145,8 +145,8 @@ TEST(CostModel, BothModelsPreferPadOverOriginalOnExpl) {
   CacheConfig Cache = CacheConfig::base16K();
   layout::DataLayout Orig = layout::originalLayout(P);
   layout::DataLayout Pad = pad::runPad(P, Cache).Layout;
-  search::SimulationCostModel Exact(Cache);
-  search::StaticCostModel Static(Cache);
+  search::SimulationCostModel Exact(MachineModel::singleLevel(Cache));
+  search::StaticCostModel Static(MachineModel::singleLevel(Cache));
   EXPECT_LT(Exact.evaluate(Pad).Cost, Exact.evaluate(Orig).Cost);
   EXPECT_LT(Static.evaluate(Pad).Cost, Static.evaluate(Orig).Cost);
 }
@@ -154,7 +154,7 @@ TEST(CostModel, BothModelsPreferPadOverOriginalOnExpl) {
 TEST(CostModel, SimulationCountsEveryAccess) {
   ir::Program P = smallKernel("expl");
   layout::DataLayout Orig = layout::originalLayout(P);
-  search::SimulationCostModel Exact(CacheConfig::base16K());
+  search::SimulationCostModel Exact(MachineModel::base16K());
   search::CostSample S = Exact.evaluate(Orig);
   EXPECT_GT(S.Accesses, 0u);
   EXPECT_GE(S.Accesses, static_cast<uint64_t>(S.Cost));
@@ -196,49 +196,33 @@ TEST(SearchEngine, ResultIndependentOfThreadCount) {
 }
 
 TEST(SearchEngine, ReplayAndDirectEvaluationAgreeExactly) {
-  // --replay off is an escape hatch, not a different search: with the
-  // same seed and budget both modes must visit the same candidates and
-  // report bit-identical results, including under worker threads.
-  for (const char *Name : {"expl", "jacobi", "dgefa"}) {
-    ir::Program P = smallKernel(Name);
-    search::SearchOptions Opts;
-    Opts.EvalBudget = 16;
-    Opts.Seed = 7;
-    Opts.Threads = 2;
-    Opts.UseReplay = true;
-    search::SearchResult Replay = search::runSearch(P, Opts);
-    Opts.UseReplay = false;
-    search::SearchResult Direct = search::runSearch(P, Opts);
-    EXPECT_EQ(Replay.Best, Direct.Best) << Name;
-    EXPECT_EQ(Replay.BestMisses, Direct.BestMisses) << Name;
-    EXPECT_EQ(Replay.ExactEvaluations, Direct.ExactEvaluations) << Name;
-    EXPECT_EQ(Replay.Log, Direct.Log) << Name;
-  }
-}
-
-TEST(SearchEngine, BatchWidthDoesNotChangeTheResult) {
-  // --batch K is a throughput knob with the same contract as --replay
-  // and --threads: any width must visit the same candidates and return
-  // bit-identical results. Widths cover sequential, an odd width (the
-  // run-time lane loop), the templated fast path, and auto.
-  for (const char *Name : {"expl", "dgefa"}) {
-    ir::Program P = smallKernel(Name);
-    search::SearchOptions Opts;
-    Opts.EvalBudget = 16;
-    Opts.Seed = 11;
-    Opts.BatchK = 1;
-    search::SearchResult Sequential = search::runSearch(P, Opts);
-    EXPECT_EQ(Sequential.BatchWidth, 1u) << Name;
-    for (unsigned K : {0u, 3u, 8u, 16u}) {
-      Opts.BatchK = K;
-      search::SearchResult Batched = search::runSearch(P, Opts);
-      EXPECT_EQ(Batched.BatchWidth, K == 0 ? 16u : K) << Name;
-      EXPECT_EQ(Sequential.Best, Batched.Best) << Name << " K=" << K;
-      EXPECT_EQ(Sequential.BestMisses, Batched.BestMisses)
-          << Name << " K=" << K;
-      EXPECT_EQ(Sequential.ExactEvaluations, Batched.ExactEvaluations)
-          << Name << " K=" << K;
-      EXPECT_EQ(Sequential.Log, Batched.Log) << Name << " K=" << K;
+  // The search scores candidates by replaying a recorded trace; every
+  // cost it reports must equal a direct IR walk of the same layout —
+  // best, original and PAD, per level — on one and two cache levels,
+  // under worker threads.
+  for (const MachineModel &M :
+       {MachineModel::base16K(), MachineModel::paperL2()}) {
+    for (const char *Name : {"expl", "jacobi", "dgefa"}) {
+      ir::Program P = smallKernel(Name);
+      search::SearchOptions Opts;
+      Opts.Machine = M;
+      Opts.EvalBudget = 16;
+      Opts.Seed = 7;
+      Opts.Threads = 2;
+      search::SearchResult R = search::runSearch(P, Opts);
+      const search::SimulationCostModel Direct(M); // No replay prepared.
+      search::CostSample Best = Direct.evaluate(R.BestLayout);
+      search::CostSample Orig = Direct.evaluate(layout::originalLayout(P));
+      search::CostSample Pad =
+          Direct.evaluate(pad::runPad(P, M.firstCache()).Layout);
+      const std::string What = M.spec() + " " + Name;
+      EXPECT_EQ(Best.Cost, R.BestMisses) << What;
+      EXPECT_EQ(Best.LevelMisses, R.BestLevelMisses) << What;
+      EXPECT_EQ(Best.Accesses, R.Accesses) << What;
+      EXPECT_EQ(Orig.Cost, R.OriginalMisses) << What;
+      EXPECT_EQ(Orig.LevelMisses, R.OriginalLevelMisses) << What;
+      EXPECT_EQ(Pad.Cost, R.PadMisses) << What;
+      EXPECT_EQ(Pad.LevelMisses, R.PadLevelMisses) << What;
     }
   }
 }
@@ -252,9 +236,11 @@ TEST(SearchEngine, NeverWorseThanPadBaseline) {
     EXPECT_LE(R.BestMisses, R.PadMisses) << Name;
     // Cross-check PadMisses against an independent simulation of the
     // real PAD layout, so the guarantee is not self-referential.
-    search::SimulationCostModel Exact(Opts.Cache);
+    search::SimulationCostModel Exact(Opts.Machine);
     EXPECT_EQ(R.PadMisses,
-              Exact.evaluate(pad::runPad(P, Opts.Cache).Layout).Cost)
+              Exact.evaluate(pad::runPad(P, Opts.Machine.firstCache())
+                                 .Layout)
+                  .Cost)
         << Name;
   }
 }
@@ -282,7 +268,7 @@ TEST(SearchEngine, BestLayoutMatchesReportedCost) {
   search::SearchOptions Opts;
   Opts.EvalBudget = 12;
   search::SearchResult R = search::runSearch(P, Opts);
-  search::SimulationCostModel Exact(Opts.Cache);
+  search::SimulationCostModel Exact(Opts.Machine);
   EXPECT_EQ(Exact.evaluate(R.BestLayout).Cost, R.BestMisses);
   EXPECT_EQ(Exact.evaluate(search::materialize(P, R.Best)).Cost,
             R.BestMisses);
@@ -306,7 +292,7 @@ TEST(SearchEngine, ExpiredDeadlineStillBeatsOrMatchesPad) {
   EXPECT_EQ(R.Outcome, search::SearchOutcome::DeadlineExpired);
   EXPECT_FALSE(R.OutcomeDetail.empty());
   // The returned layout is still coherent with the reported cost.
-  search::SimulationCostModel Exact(Opts.Cache);
+  search::SimulationCostModel Exact(Opts.Machine);
   EXPECT_EQ(Exact.evaluate(R.BestLayout).Cost, R.BestMisses);
 }
 

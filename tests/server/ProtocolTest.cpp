@@ -23,6 +23,8 @@
 #include "gtest/gtest.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 using namespace padx;
 using namespace padx::server;
@@ -338,11 +340,16 @@ TEST(Protocol, MachineFieldParsesPresetsAndSpecs) {
   Request R;
   std::string Err;
   ASSERT_TRUE(parseRequest(*Doc, R, Err)) << Err;
-  ASSERT_EQ(R.machine().numLevels(), 2u);
-  // The legacy geometry mirrors the first cache level so quota and
-  // logging paths that read R.Cache stay coherent.
-  EXPECT_EQ(R.Cache.SizeBytes, R.machine().firstCache().SizeBytes);
-  EXPECT_EQ(R.Cache.LineBytes, R.machine().firstCache().LineBytes);
+  EXPECT_EQ(R.Machine, MachineModel::paperL2());
+
+  // With a machine named, the one-level geometry fields are not read.
+  auto Both = support::parseJson(
+      "{\"id\":1,\"op\":\"pad\",\"source\":\"\","
+      "\"machine\":\"paper-l2\",\"cache\":1000}");
+  ASSERT_TRUE(Both.has_value());
+  Request RB;
+  ASSERT_TRUE(parseRequest(*Both, RB, Err)) << Err;
+  EXPECT_EQ(RB.Machine, MachineModel::paperL2());
 
   auto Spec = support::parseJson(
       "{\"id\":2,\"op\":\"lint\",\"source\":\"\","
@@ -350,8 +357,8 @@ TEST(Protocol, MachineFieldParsesPresetsAndSpecs) {
   ASSERT_TRUE(Spec.has_value());
   Request RS;
   ASSERT_TRUE(parseRequest(*Spec, RS, Err)) << Err;
-  ASSERT_EQ(RS.machine().numLevels(), 3u);
-  EXPECT_TRUE(RS.machine().Levels[2].IsTlb);
+  ASSERT_EQ(RS.Machine.numLevels(), 3u);
+  EXPECT_TRUE(RS.Machine.Levels[2].IsTlb);
 }
 
 TEST(Protocol, MachineAbsentKeepsSingleLevelBackCompat) {
@@ -362,8 +369,8 @@ TEST(Protocol, MachineAbsentKeepsSingleLevelBackCompat) {
   Request R;
   std::string Err;
   ASSERT_TRUE(parseRequest(*Doc, R, Err)) << Err;
-  EXPECT_TRUE(R.Machine.Levels.empty()); // legacy single-level paths
-  MachineModel M = R.machine();
+  // Resolved once at parse time into a one-level machine.
+  const MachineModel &M = R.Machine;
   ASSERT_TRUE(M.isSingleLevel());
   EXPECT_EQ(M.firstCache().SizeBytes, 8192);
   EXPECT_EQ(M.firstCache().LineBytes, 64);
@@ -379,8 +386,8 @@ TEST(Protocol, WeightsApplyWithAndWithoutMachine) {
   Request R;
   std::string Err;
   ASSERT_TRUE(parseRequest(*Doc, R, Err)) << Err;
-  ASSERT_EQ(R.machine().numLevels(), 2u);
-  EXPECT_EQ(R.machine().Levels[1].Weight, 8.0);
+  ASSERT_EQ(R.Machine.numLevels(), 2u);
+  EXPECT_EQ(R.Machine.Levels[1].Weight, 8.0);
 
   // weights without machine: applies to the implied single level.
   auto Solo = support::parseJson(
@@ -389,8 +396,8 @@ TEST(Protocol, WeightsApplyWithAndWithoutMachine) {
   ASSERT_TRUE(Solo.has_value());
   Request RW;
   ASSERT_TRUE(parseRequest(*Solo, RW, Err)) << Err;
-  ASSERT_EQ(RW.machine().numLevels(), 1u);
-  EXPECT_EQ(RW.machine().Levels[0].Weight, 3.0);
+  ASSERT_EQ(RW.Machine.numLevels(), 1u);
+  EXPECT_EQ(RW.Machine.Levels[0].Weight, 3.0);
 }
 
 TEST(Protocol, BadMachineAndWeightsAreInvalidRequests) {
@@ -453,4 +460,163 @@ TEST(Protocol, StatsOpReportsPredictorUnscored) {
   ASSERT_NE(SC, nullptr);
   EXPECT_GE(SC->getInt("machine_lattice_hits", -1), 0);
   EXPECT_GE(SC->getInt("machine_lattice_misses", -1), 0);
+}
+
+//===----------------------------------------------------------------------===//
+// Integer fields: reject, never truncate or wrap
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Sends \p Frame and expects an invalid_request whose message names
+/// \p Field.
+void expectFieldRejected(HandlerFixture &F, const std::string &Frame,
+                         const std::string &Field) {
+  support::JsonValue R = F.respond(Frame);
+  EXPECT_FALSE(R.getBool("ok", true)) << Frame;
+  EXPECT_EQ(errorCode(R), kErrInvalidRequest) << Frame;
+  const support::JsonValue *E = R.find("error");
+  ASSERT_NE(E, nullptr) << Frame;
+  EXPECT_NE(E->getString("message", "").find("'" + Field + "'"),
+            std::string::npos)
+      << Frame << " -> " << E->getString("message", "");
+}
+
+} // namespace
+
+TEST(Protocol, BudgetOfTwoToThe32IsRejectedNotWrappedToZero) {
+  // 2^32 used to wrap to an unsigned 0, which the engine raised to the
+  // seed count: a 3-evaluation search answered ok.
+  HandlerFixture F;
+  expectFieldRejected(F,
+                      "{\"id\":1,\"op\":\"search\",\"budget\":4294967296,"
+                      "\"source\":" +
+                          quoted(kTinyProgram) + "}",
+                      "budget");
+}
+
+TEST(Protocol, BudgetJustPastTwoToThe32IsRejectedNotWrappedToOne) {
+  HandlerFixture F;
+  expectFieldRejected(F,
+                      "{\"id\":1,\"op\":\"search\",\"budget\":4294967297,"
+                      "\"source\":" +
+                          quoted(kTinyProgram) + "}",
+                      "budget");
+  // The cap itself is a valid budget.
+  auto Doc = support::parseJson(
+      "{\"id\":1,\"op\":\"search\",\"source\":\"\",\"budget\":4294967295}");
+  ASSERT_TRUE(Doc.has_value());
+  Request R;
+  std::string Err;
+  ASSERT_TRUE(parseRequest(*Doc, R, Err)) << Err;
+  EXPECT_EQ(R.SearchBudget, 4294967295);
+}
+
+TEST(Protocol, OutOfRangeIdIsRejectedWithoutAGarbageEcho) {
+  // 1e30 does not fit an int64; converting it was undefined behaviour
+  // and echoed id -9223372036854775808.
+  HandlerFixture F;
+  support::JsonValue R = F.respond("{\"id\":1e30,\"op\":\"ping\"}");
+  EXPECT_EQ(errorCode(R), kErrInvalidRequest);
+  EXPECT_EQ(R.getInt("id", 0), -1);
+  const support::JsonValue *E = R.find("error");
+  ASSERT_NE(E, nullptr);
+  EXPECT_NE(E->getString("message", "").find("'id' must be an integer"),
+            std::string::npos)
+      << E->getString("message", "");
+}
+
+TEST(Protocol, FractionalAndOutOfRangeIntegersAreInvalidRequests) {
+  HandlerFixture F;
+  const std::string Src = ",\"source\":" + quoted(kTinyProgram) + "}";
+  for (const auto &[Field, Value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"id", "2.5"},
+           {"budget", "2.5"},
+           {"budget", "1e300"},
+           {"seed", "1e30"},
+           {"seed", "0.5"},
+           {"max_accesses", "1e30"},
+           {"max_footprint", "-1"},
+           {"memory_budget", "\"big\""},
+           {"cache", "16384.5"},
+           {"line", "1e19"},
+           {"assoc", "4294967297"}}) {
+    std::string Frame = Field == "id"
+                            ? "{\"id\":" + Value + ",\"op\":\"search\"" + Src
+                            : "{\"id\":1,\"op\":\"search\",\"" + Field +
+                                  "\":" + Value + Src;
+    expectFieldRejected(F, Frame, Field);
+  }
+  // Integral doubles are integers.
+  auto Doc = support::parseJson(
+      "{\"id\":3.0,\"op\":\"search\",\"source\":\"\",\"budget\":1e3}");
+  ASSERT_TRUE(Doc.has_value());
+  Request R;
+  std::string Err;
+  ASSERT_TRUE(parseRequest(*Doc, R, Err)) << Err;
+  EXPECT_EQ(R.Id, 3);
+  EXPECT_EQ(R.SearchBudget, 1000);
+}
+
+//===----------------------------------------------------------------------===//
+// Search responses
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A search reply up to its pipeline-stats member, the only part that
+/// carries timings.
+std::string resultBytes(HandlerFixture &F, const std::string &Frame) {
+  std::string Reply = F.Handler.handleLine(Frame);
+  EXPECT_NE(Reply.find("\"ok\":true"), std::string::npos) << Reply;
+  return Reply.substr(0, Reply.find(",\"stats\":"));
+}
+
+} // namespace
+
+TEST(Protocol, RetiredBatchAndReplayFieldsDoNotChangeTheAnswer) {
+  // Old clients still send the batched-replay knobs; the search scores
+  // one way now, so the answer is the same bytes without them.
+  HandlerFixture F;
+  const std::string Head =
+      "{\"id\":5,\"op\":\"search\",\"budget\":12,\"seed\":3";
+  const std::string Tail = ",\"source\":" + quoted(kTinyProgram) + "}";
+  std::string Plain = resultBytes(F, Head + Tail);
+  EXPECT_EQ(resultBytes(F, Head + ",\"batch\":16,\"replay\":false" + Tail),
+            Plain);
+  EXPECT_EQ(Plain.find("batch_width"), std::string::npos) << Plain;
+}
+
+TEST(Protocol, MultiLevelSearchPercentsAreFirstLevelMissRates) {
+  // The *_percent fields are first-cache-level miss rates: L1 misses
+  // over L1 accesses, never the weighted cost over accesses (which read
+  // 532% for jacobi512 on paper-l2).
+  HandlerFixture F;
+  support::JsonValue S = F.respond(
+      "{\"id\":8,\"op\":\"search\",\"machine\":\"paper-l2\","
+      "\"budget\":6,\"source\":" +
+      quoted(kTinyProgram) + "}");
+  ASSERT_TRUE(S.getBool("ok", false));
+  const support::JsonValue *SR = S.find("result");
+  ASSERT_NE(SR, nullptr);
+  const double Accesses = SR->getDouble("accesses", 0);
+  ASSERT_GT(Accesses, 0);
+  const support::JsonValue *Levels = SR->find("levels");
+  ASSERT_NE(Levels, nullptr);
+  ASSERT_EQ(Levels->elements().size(), 2u);
+  const support::JsonValue &L1 = Levels->elements()[0];
+  ASSERT_EQ(L1.getString("name", ""), "l1");
+  for (const char *What : {"original", "pad", "best"}) {
+    const double Percent =
+        SR->getDouble(std::string(What) + "_percent", -1);
+    EXPECT_EQ(Percent,
+              100.0 * L1.getDouble(std::string(What) + "_misses", -1) /
+                  Accesses)
+        << What;
+    EXPECT_LE(Percent, 100.0) << What;
+  }
+  // The weighted cost, by contrast, counts L2 misses eight times over.
+  EXPECT_GT(SR->getDouble("original_cost", 0),
+            L1.getDouble("original_misses", 0));
 }

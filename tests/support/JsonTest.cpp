@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 using namespace padx;
@@ -55,6 +56,24 @@ TEST(Json, IntegerExactness) {
   auto V = parseJson("9007199254740993");
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->asInt64(), 9007199254740993LL);
+}
+
+TEST(Json, IntegerAccessIsDefinedOutsideTheInt64Range) {
+  // Integral doubles in range are integers; fractions and doubles past
+  // int64 are not, and asInt64 saturates instead of converting out of
+  // range (undefined behaviour).
+  EXPECT_TRUE(parseJson("1e3")->isInt64());
+  EXPECT_EQ(parseJson("1e3")->asInt64(), 1000);
+  EXPECT_TRUE(parseJson("-4.0")->isInt64());
+  EXPECT_FALSE(parseJson("2.5")->isInt64());
+  EXPECT_FALSE(parseJson("\"7\"")->isInt64());
+  EXPECT_FALSE(parseJson("1e30")->isInt64());
+  EXPECT_FALSE(parseJson("9223372036854775808")->isInt64());
+  EXPECT_EQ(parseJson("1e30")->asInt64(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(parseJson("-1e30")->asInt64(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(parseJson("-9223372036854775808")->isInt64());
 }
 
 TEST(Json, RejectsMalformedInput) {
