@@ -5,38 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures the trace engine's two throughput levers on one program: the
-/// record-once / replay-many engine against direct per-candidate tracing
-/// (PR 3), and batched K-way replay against sequential replay (the
-/// MultiTraceReplayer). A deterministic sweep of padding candidates is
-/// scored every way, the per-candidate statistics are checked for
-/// bit-identity across all paths, and the wall-clock ratios are
-/// reported. The sequential replay total is broken down per phase —
-/// recording, remap rebuilds, the probe stream — so BENCH_replay.json
-/// tracks where candidate time actually goes.
+/// Measures the record-once / replay-many trace engine against direct
+/// per-candidate tracing on one program. A deterministic sweep of
+/// padding candidates is scored both ways, the per-candidate statistics
+/// are checked for bit-identity, and the wall-clock ratio is reported.
+/// The sequential replay total is broken down per phase — recording,
+/// remap rebuilds, the probe stream — so BENCH_replay.json tracks where
+/// candidate time actually goes.
 ///
 /// Usage: replay_speedup [--file F.pad | --kernel NAME [--size N]]
 ///                       [--candidates N] [--cache BYTES] [--line BYTES]
-///                       [--assoc K] [--batch K] [--batch-sweep]
-///                       [--reps N]
-///                       [--guard X] [--guard-batch X] [--json PATH]
+///                       [--assoc K] [--reps N]
+///                       [--guard X] [--json PATH]
 ///
 /// --guard X fails when end-to-end replay speedup over direct tracing
-/// falls below X; --guard-batch X fails when batched candidates/sec
-/// over sequential replay falls below X. The sequential and batched
-/// loops run --reps times (default 3) and the fastest repetition is
-/// reported on each side, so the guarded ratio measures the code, not
-/// scheduler noise on a shared box; the direct walk runs once (its
-/// guard has a wide margin and it dominates bench wall-clock).
+/// falls below X. The replay loop runs --reps times (default 3) and the
+/// fastest repetition is reported, so the guarded ratio measures the
+/// code, not scheduler noise on a shared box; the direct walk runs once
+/// (its guard has a wide margin and it dominates bench wall-clock).
 ///
-/// Exit codes: 0 success; 1 usage error, recording declined, or a
-/// guard failed; 2 any path's statistics diverged (a correctness bug,
-/// never acceptable).
+/// Exit codes: 0 success; 1 usage error, recording declined, or the
+/// guard failed; 2 replayed statistics diverged from the direct walk (a
+/// correctness bug, never acceptable).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "exec/MultiTraceReplayer.h"
 #include "exec/RecordedTrace.h"
 #include "exec/TraceRunner.h"
 #include "frontend/Parser.h"
@@ -48,7 +42,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,10 +74,8 @@ void usage() {
                "[--size N]]\n"
                "                      [--candidates N] [--cache BYTES] "
                "[--line BYTES]\n"
-               "                      [--assoc K] [--batch K] "
-               "[--batch-sweep] [--reps N]\n"
-               "                      [--guard X] [--guard-batch X] "
-               "[--json PATH]\n");
+               "                      [--assoc K] [--reps N]\n"
+               "                      [--guard X] [--json PATH]\n");
   std::exit(1);
 }
 
@@ -132,39 +123,6 @@ bool reportDivergence(const char *PathName,
       return true;
     }
   return false;
-}
-
-/// Scores every candidate through the batched replayer in chunks of
-/// \p Width, returning per-candidate stats and the loop's wall-clock
-/// seconds (materialization included, matching the sequential loop).
-double runBatched(const ir::Program &P, const exec::RecordedTrace &Trace,
-                  const CacheConfig &Cache,
-                  const std::vector<search::Candidate> &Cands,
-                  unsigned Width, unsigned Reps,
-                  std::vector<CandidateStats> &Out) {
-  double Best = 0;
-  for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-    exec::MultiTraceReplayer Batched(Trace, Cache);
-    Out.assign(Cands.size(), {});
-    const auto Start = Clock::now();
-    sim::CacheStats Stats[exec::MultiTraceReplayer::kMaxLanes];
-    std::vector<layout::DataLayout> Layouts;
-    for (size_t Begin = 0; Begin != Cands.size();) {
-      const size_t N = std::min<size_t>(Width, Cands.size() - Begin);
-      Layouts.clear();
-      Layouts.reserve(N);
-      for (size_t I = 0; I != N; ++I)
-        Layouts.push_back(search::materialize(P, Cands[Begin + I]));
-      Batched.replay(Layouts, std::span<sim::CacheStats>(Stats, N));
-      for (size_t I = 0; I != N; ++I)
-        Out[Begin + I] = statsOf(Stats[I]);
-      Begin += N;
-    }
-    const double Secs = secondsSince(Start);
-    if (Rep == 0 || Secs < Best)
-      Best = Secs;
-  }
-  return Best;
 }
 
 /// One full sequential-replay pass with per-phase attribution.
@@ -217,10 +175,8 @@ int main(int argc, char **argv) {
   int64_t Size = 0;
   unsigned Candidates = 32;
   CacheConfig Cache = CacheConfig::base16K();
-  double Guard = 0, GuardBatch = 0;
-  unsigned BatchK = 16;
+  double Guard = 0;
   unsigned Reps = 3;
-  bool BatchSweep = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -243,16 +199,10 @@ int main(int argc, char **argv) {
       Cache.LineBytes = std::atoll(Next());
     else if (Arg == "--assoc")
       Cache.Associativity = std::atoi(Next());
-    else if (Arg == "--batch")
-      BatchK = static_cast<unsigned>(std::atoi(Next()));
-    else if (Arg == "--batch-sweep")
-      BatchSweep = true;
     else if (Arg == "--reps")
       Reps = static_cast<unsigned>(std::atoi(Next()));
     else if (Arg == "--guard")
       Guard = std::atof(Next());
-    else if (Arg == "--guard-batch")
-      GuardBatch = std::atof(Next());
     else if (Arg == "--json")
       JsonPath = Next();
     else
@@ -260,11 +210,6 @@ int main(int argc, char **argv) {
   }
   if (File.empty() == Kernel.empty() || Candidates == 0)
     usage();
-  if (BatchK < 1 || BatchK > exec::MultiTraceReplayer::kMaxLanes) {
-    std::fprintf(stderr, "error: --batch must be in [1, %u]\n",
-                 exec::MultiTraceReplayer::kMaxLanes);
-    return 1;
-  }
   if (Reps < 1) {
     std::fprintf(stderr, "error: --reps must be at least 1\n");
     return 1;
@@ -349,20 +294,9 @@ int main(int argc, char **argv) {
   if (reportDivergence("sequential replay", Direct, Seq.Stats))
     return 2;
 
-  // Batched replay at the requested width, checked against the same
-  // direct-simulation reference.
-  std::vector<CandidateStats> Batched;
-  const double BatchLoopSecs =
-      runBatched(*P, *Trace, Cache, Cands, BatchK, Reps, Batched);
-  if (reportDivergence("batched replay", Direct, Batched))
-    return 2;
-
   const double Speedup = ReplaySecs > 0 ? DirectSecs / ReplaySecs : 0.0;
   const double SeqRate =
       SeqLoopSecs > 0 ? Cands.size() / SeqLoopSecs : 0.0;
-  const double BatchRate =
-      BatchLoopSecs > 0 ? Cands.size() / BatchLoopSecs : 0.0;
-  const double BatchSpeedup = SeqRate > 0 ? BatchRate / SeqRate : 0.0;
 
   std::printf("replay speedup: %s, %u candidates, %s\n", Name.c_str(),
               Candidates, Cache.describe().c_str());
@@ -379,33 +313,10 @@ int main(int argc, char **argv) {
               RecordSecs, MaterializeSecs, RemapSecs,
               static_cast<unsigned long long>(Remaps.SlotRebuilds),
               ProbeSecs);
-  std::printf("  batched (K=%u): %.3fs   %.0f cand/s vs %.0f cand/s "
-              "sequential   batch speedup: %.2fx\n",
-              BatchK, BatchLoopSecs, BatchRate, SeqRate, BatchSpeedup);
+  std::printf("  sequential: %.0f cand/s\n", SeqRate);
   std::printf("  statistics bit-identical across all %zu candidates "
-              "(direct, sequential, batched)\n",
+              "(direct, sequential)\n",
               Cands.size());
-
-  // The sweep rides on the same reference stats: every width must
-  // match, and the table shows where the lane win flattens out.
-  std::vector<std::pair<unsigned, double>> SweepRates;
-  if (BatchSweep) {
-    std::printf("  batch sweep:\n");
-    std::printf("    K= 1: %8.0f cand/s (sequential replayer)\n",
-                SeqRate);
-    SweepRates.emplace_back(1, SeqRate);
-    for (unsigned K : {2u, 4u, 8u, 16u}) {
-      std::vector<CandidateStats> Stats;
-      const double Secs =
-          runBatched(*P, *Trace, Cache, Cands, K, Reps, Stats);
-      if (reportDivergence("batch-sweep replay", Direct, Stats))
-        return 2;
-      const double Rate = Secs > 0 ? Cands.size() / Secs : 0.0;
-      std::printf("    K=%2u: %8.0f cand/s (%.2fx)\n", K, Rate,
-                  SeqRate > 0 ? Rate / SeqRate : 0.0);
-      SweepRates.emplace_back(K, Rate);
-    }
-  }
 
   if (!JsonPath.empty()) {
     std::ofstream OS(JsonPath);
@@ -428,6 +339,7 @@ int main(int argc, char **argv) {
     J.field("direct_seconds", DirectSecs);
     J.field("replay_seconds", ReplaySecs);
     J.field("speedup", Speedup);
+    J.field("sequential_candidates_per_sec", SeqRate);
     J.key("phases");
     J.beginObject();
     J.field("record_seconds", RecordSecs);
@@ -438,25 +350,6 @@ int main(int argc, char **argv) {
     J.field("remap_slot_rebuilds", Remaps.SlotRebuilds);
     J.field("remap_ref_delta_rebuilds", Remaps.RefDeltaRebuilds);
     J.endObject();
-    J.key("batch");
-    J.beginObject();
-    J.field("width", BatchK);
-    J.field("seconds", BatchLoopSecs);
-    J.field("sequential_candidates_per_sec", SeqRate);
-    J.field("candidates_per_sec", BatchRate);
-    J.field("speedup_vs_sequential", BatchSpeedup);
-    if (!SweepRates.empty()) {
-      J.key("sweep");
-      J.beginArray();
-      for (const auto &[K, Rate] : SweepRates) {
-        J.beginObject();
-        J.field("k", K);
-        J.field("candidates_per_sec", Rate);
-        J.endObject();
-      }
-      J.endArray();
-    }
-    J.endObject();
     J.field("stats_identical", true);
     J.endObject();
     OS << '\n';
@@ -466,12 +359,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "error: speedup %.2fx below the %.2fx guard\n",
                  Speedup, Guard);
-    return 1;
-  }
-  if (GuardBatch > 0 && BatchSpeedup < GuardBatch) {
-    std::fprintf(stderr,
-                 "error: batch speedup %.2fx below the %.2fx guard\n",
-                 BatchSpeedup, GuardBatch);
     return 1;
   }
   return 0;

@@ -4,11 +4,11 @@
 # Part of the padx project, under the Apache License v2.0.
 #
 # CI driver: the tier-1 build + test cycle, a perf-smoke stage guarding
-# sequential replay (vs the direct walk) and 16-lane batched replay
-# (>= 2x sequential, bit-identical stats or exit 2), an LTO build
-# (-DPADX_LTO=ON) that reruns the full suite and the batched guard, a
-# PGO generate/train/use cycle (gated on a toolchain probe) holding the
-# trained build to the same floor, the padlint exit-code /
+# sequential replay against the direct walk (faster, bit-identical
+# stats or exit 2), an LTO build (-DPADX_LTO=ON) that reruns the full
+# suite and the replay guard, a PGO generate/train/use cycle (gated on
+# a toolchain probe) holding the trained build to the same guard, the
+# padlint exit-code /
 # SARIF / crash-robustness stages, a padd daemon stage (4 concurrent
 # paddctl clients over the corpus, streamed-SARIF validation, protocol
 # shutdown, a drain-under-load smoke — SIGTERM mid-sweep, no lost
@@ -59,19 +59,16 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== perf smoke: replay + 16-lane batched replay guards =="
+echo "== perf smoke: replay guard =="
 # Bit-identity is covered by the test suite and re-checked by the bench
-# itself (exit 2 on any per-candidate stats divergence between the
-# sequential and batched replayers). The guards watch the *point* of
-# the replay engine — speed: --guard 1.0 only fails if replay is slower
-# than re-walking the program, and --guard-batch 2.0 fails if the
-# 16-lane MultiTraceReplayer falls below 2x sequential replay (the
-# acceptance floor; measured ~4x locally, so the bound has headroom
-# against CI noise — --reps takes the best of 5 for the same reason).
-# The JSON artifact doubles as the benchmark record for the run and is
-# diffable against the checked-in bench/baselines/BENCH_replay.json.
+# itself (exit 2 on any per-candidate stats divergence between replay
+# and the direct walk). The guard watches the *point* of the replay
+# engine — speed: --guard 1.0 fails if replay is slower than re-walking
+# the program (--reps takes the best of 5 against CI noise). The JSON
+# artifact doubles as the benchmark record for the run and is diffable
+# against the checked-in bench/baselines/BENCH_replay.json.
 build/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
-  --candidates 32 --batch 16 --reps 5 --guard 1.0 --guard-batch 2.0 \
+  --candidates 32 --reps 5 --guard 1.0 \
   --json build/BENCH_replay.json
 build/bench/search_vs_pad --budget 24 --threads 2 --seed 1 jacobi \
   --json build/BENCH_search.json
@@ -98,17 +95,17 @@ echo "== multi-level objective: weighted search vs L1-only guard =="
 build/bench/multilevel --guard --json build/BENCH_multilevel.json \
   > /dev/null
 
-echo "== LTO: -DPADX_LTO=ON build + full tests + batched replay guard =="
-# The replay hot loops live in headers and target-attributed functions,
-# but LTO lets the drivers inline across the exec/search/sim library
-# seams; the full suite must stay green under it and the batched replay
-# guard must still hold (a miscompiled probe loop shows up as either a
-# stats divergence, exit 2, or a throughput collapse, exit 1).
+echo "== LTO: -DPADX_LTO=ON build + full tests + replay guard =="
+# The replay probe is inlined from a header, but LTO lets the drivers
+# inline across the exec/search/sim library seams; the full suite must
+# stay green under it and the replay guard must still hold (a
+# miscompiled probe loop shows up as either a stats divergence, exit 2,
+# or replay losing to the direct walk, exit 1).
 cmake -B build-lto -S . -DPADX_LTO=ON
 cmake --build build-lto -j "$JOBS"
 ctest --test-dir build-lto --output-on-failure -j "$JOBS"
 build-lto/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
-  --candidates 32 --batch 16 --reps 5 --guard 1.0 --guard-batch 2.0 \
+  --candidates 32 --reps 5 --guard 1.0 \
   --json build/BENCH_replay_lto.json
 # The predictor must stay rank-faithful under LTO too (it is pure
 # arithmetic, so a miscompile shows up as a correlation collapse).
@@ -135,20 +132,20 @@ if [ -n "$PGO_OK" ]; then
   # Two-step profile-guided build sharing one tree (the .gcda files
   # land next to the objects). Training runs the representative search
   # workload the CMake preset documents: a real candidate search plus
-  # the batched replay bench. The guarded rerun then holds the trained
-  # build to the same 2x floor as the default build.
+  # the sequential replay bench. The guarded rerun then holds the
+  # trained build to the same replay guard as the default build.
   cmake -B build-pgo -S . -DPADX_PGO=generate
   cmake --build build-pgo -j "$JOBS" \
     --target search_vs_pad replay_speedup
   build-pgo/bench/search_vs_pad --budget 24 --threads 2 --seed 1 \
     jacobi > /dev/null
   build-pgo/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
-    --candidates 32 --batch 16 --reps 1 > /dev/null
+    --candidates 32 --reps 1 > /dev/null
   cmake -B build-pgo -S . -DPADX_PGO=use
   cmake --build build-pgo -j "$JOBS" \
     --target search_vs_pad replay_speedup
   build-pgo/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
-    --candidates 32 --batch 16 --reps 5 --guard 1.0 --guard-batch 2.0 \
+    --candidates 32 --reps 5 --guard 1.0 \
     --json build/BENCH_replay_pgo.json
 else
   echo "== PGO: skipped (no working -fprofile-generate/use toolchain) =="

@@ -47,12 +47,14 @@
 
 #include "server/Server.h"
 #include "support/FaultInjection.h"
+#include "support/ParseInteger.h"
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 using namespace padx;
@@ -92,59 +94,37 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) -> T {
+      const char *Text = Next();
+      if (std::optional<T> V = parseInteger<T>(Text, Min, Max))
+        return *V;
+      std::fprintf(stderr, "error: %s takes an integer in [%s, %s], "
+                           "got '%s'\n",
+                   Arg.c_str(), std::to_string(Min).c_str(),
+                   std::to_string(Max).c_str(), Text);
+      std::exit(1);
+    };
+    constexpr unsigned UMax = std::numeric_limits<unsigned>::max();
+    constexpr size_t SizeMax = std::numeric_limits<size_t>::max();
     if (Arg == "--socket") {
       Opts.SocketPath = Next();
     } else if (Arg == "--threads") {
-      long long N = std::atoll(Next());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --threads must be >= 0\n");
-        return 1;
-      }
-      Opts.Threads = static_cast<unsigned>(N);
+      Opts.Threads = NextInt(0u, UMax);
     } else if (Arg == "--max-frame") {
-      long long N = std::atoll(Next());
-      if (N <= 0) {
-        std::fprintf(stderr, "error: --max-frame must be positive\n");
-        return 1;
-      }
-      Opts.MaxFrameBytes = static_cast<size_t>(N);
+      Opts.MaxFrameBytes = NextInt(size_t(1), SizeMax);
     } else if (Arg == "--memory-budget") {
-      long long N = std::atoll(Next());
-      if (N <= 0) {
-        std::fprintf(stderr,
-                     "error: --memory-budget must be positive\n");
-        return 1;
-      }
-      Opts.RequestMemoryBudget = static_cast<size_t>(N);
+      Opts.RequestMemoryBudget = NextInt(size_t(1), SizeMax);
     } else if (Arg == "--max-footprint") {
-      long long N = std::atoll(Next());
-      if (N <= 0) {
-        std::fprintf(stderr,
-                     "error: --max-footprint must be positive\n");
-        return 1;
-      }
-      Opts.Limits.MaxFootprintBytes = N;
+      Opts.Limits.MaxFootprintBytes =
+          NextInt(int64_t(1), std::numeric_limits<int64_t>::max());
     } else if (Arg == "--max-accesses") {
-      long long N = std::atoll(Next());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --max-accesses must be >= 0\n");
-        return 1;
-      }
-      Opts.Limits.MaxTraceAccesses = static_cast<uint64_t>(N);
+      Opts.Limits.MaxTraceAccesses =
+          NextInt(uint64_t(0), std::numeric_limits<uint64_t>::max());
     } else if (Arg == "--max-queue") {
-      long long N = std::atoll(Next());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --max-queue must be >= 0\n");
-        return 1;
-      }
-      Opts.MaxQueueDepth = static_cast<size_t>(N);
+      Opts.MaxQueueDepth = NextInt(size_t(0), SizeMax);
     } else if (Arg == "--max-inflight") {
-      long long N = std::atoll(Next());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --max-inflight must be >= 0\n");
-        return 1;
-      }
-      Opts.MaxConnInFlight = static_cast<unsigned>(N);
+      Opts.MaxConnInFlight = NextInt(0u, UMax);
     } else if (Arg == "--drain-ms") {
       double Ms = std::atof(Next());
       if (Ms <= 0) {

@@ -61,12 +61,14 @@
 #include "support/Guard.h"
 #include "support/JsonWriter.h"
 #include "support/MathExtras.h"
+#include "support/ParseInteger.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 using namespace padx;
@@ -124,9 +126,6 @@ bool validateGeometry(const CacheConfig &Cache, DiagnosticEngine &Diags) {
     Fail("--cache must be a positive power of two", Cache.SizeBytes);
   if (!isPowerOf2(Cache.LineBytes))
     Fail("--line must be a positive power of two", Cache.LineBytes);
-  if (Cache.Associativity < 0)
-    Fail("--assoc must be >= 0 (0 = fully associative)",
-         Cache.Associativity);
   if (Diags.hasErrors()) // Relative checks are meaningless on garbage.
     return false;
   if (Cache.LineBytes > Cache.SizeBytes)
@@ -169,12 +168,26 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) -> T {
+      const char *Text = Next();
+      if (std::optional<T> V = parseInteger<T>(Text, Min, Max))
+        return *V;
+      std::fprintf(stderr, "error: %s takes an integer in [%s, %s], "
+                           "got '%s'\n",
+                   Arg.c_str(), std::to_string(Min).c_str(),
+                   std::to_string(Max).c_str(), Text);
+      std::exit(ExitUsage);
+    };
+    constexpr int64_t I64Max = std::numeric_limits<int64_t>::max();
+    constexpr unsigned UMax = std::numeric_limits<unsigned>::max();
+    constexpr uint64_t U64Max = std::numeric_limits<uint64_t>::max();
     if (Arg == "--cache") {
-      Cache.SizeBytes = std::atoll(Next());
+      Cache.SizeBytes = NextInt(int64_t(1), I64Max);
     } else if (Arg == "--line") {
-      Cache.LineBytes = std::atoll(Next());
+      Cache.LineBytes = NextInt(int64_t(1), I64Max);
     } else if (Arg == "--assoc") {
-      Cache.Associativity = std::atoi(Next());
+      Cache.Associativity = NextInt(0, std::numeric_limits<int>::max());
     } else if (Arg == "--machine") {
       MachineSpec = Next();
     } else if (Arg == "--weights") {
@@ -192,23 +205,11 @@ int main(int argc, char **argv) {
         return ExitUsage;
       }
     } else if (Arg == "--budget") {
-      long long N = std::atoll(Next());
-      if (N <= 0) {
-        std::fprintf(stderr, "error: --budget must be positive\n");
-        return ExitUsage;
-      }
-      SearchOpts.EvalBudget = static_cast<unsigned>(N);
+      SearchOpts.EvalBudget = NextInt(1u, UMax);
     } else if (Arg == "--threads") {
-      long long N = std::atoll(Next());
-      if (N < 0) {
-        std::fprintf(stderr,
-                     "error: --threads must be >= 0 (0 = hardware)\n");
-        return ExitUsage;
-      }
-      SearchOpts.Threads = static_cast<unsigned>(N);
+      SearchOpts.Threads = NextInt(0u, UMax);
     } else if (Arg == "--seed") {
-      SearchOpts.Seed =
-          static_cast<uint64_t>(std::strtoull(Next(), nullptr, 10));
+      SearchOpts.Seed = NextInt(uint64_t(0), U64Max);
     } else if (Arg == "--deadline") {
       double Secs = std::atof(Next());
       if (Secs <= 0) {
@@ -245,20 +246,9 @@ int main(int argc, char **argv) {
         return ExitUsage;
       }
     } else if (Arg == "--max-footprint") {
-      long long N = std::atoll(Next());
-      if (N <= 0) {
-        std::fprintf(stderr,
-                     "error: --max-footprint must be positive\n");
-        return ExitUsage;
-      }
-      Limits.MaxFootprintBytes = N;
+      Limits.MaxFootprintBytes = NextInt(int64_t(1), I64Max);
     } else if (Arg == "--max-accesses") {
-      long long N = std::atoll(Next());
-      if (N <= 0) {
-        std::fprintf(stderr, "error: --max-accesses must be positive\n");
-        return ExitUsage;
-      }
-      Limits.MaxTraceAccesses = static_cast<uint64_t>(N);
+      Limits.MaxTraceAccesses = NextInt(uint64_t(1), U64Max);
     } else if (Arg == "--emit") {
       Emit = true;
     } else if (Arg == "--simulate") {
@@ -274,7 +264,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--kernel") {
       Kernel = Next();
     } else if (Arg == "--size") {
-      Size = std::atoll(Next());
+      Size = NextInt(int64_t(0), I64Max);
     } else if (Arg == "--list") {
       for (const auto &K : kernels::allKernels())
         std::printf("%-14s %-10s %s\n", K.Name.c_str(),

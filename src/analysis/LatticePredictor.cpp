@@ -92,10 +92,9 @@ analysis::predictConflicts(const layout::DataLayout &DL,
     const LoopGroup &G = Groups[GI];
     double GroupIterations = Iterations[GI];
     if (GroupIterations == 0) {
-      // Triangular or symbolic bounds: the nest generates traffic the
-      // predictor cannot count. Emit an explicit unscored row instead
-      // of silently dropping it, so a zero total is distinguishable
-      // from "no conflicts".
+      // A zero iteration count leaves nothing to score. Emit an
+      // explicit unscored row instead of silently dropping the nest, so
+      // a zero total is distinguishable from "no conflicts".
       NestPrediction NP;
       NP.LoopVar = G.Innermost->IndexVar;
       NP.Unscored = true;

@@ -79,12 +79,12 @@ struct NestPrediction {
   double ConflictMissesPerIteration = 0;
   /// True when some collision cluster overflows its cache set.
   bool Thrashing = false;
-  /// True when the nest could not be scored: its iteration count is not
-  /// a compile-time constant (triangular or symbolic bounds, as in
-  /// DGEFA / CHOL / MULT), so every per-nest number above is zero as
-  /// "no signal", not "no misses". Consumers that rank by predicted
-  /// misses (prescreen auto, model_accuracy) use this to tell the two
-  /// apart.
+  /// True when the nest could not be scored because its iteration count
+  /// came out zero, so every per-nest number above is zero as "no
+  /// signal", not "no misses". countGroupIterations enumerates outer
+  /// loops exactly, so triangular nests (DGEFA, CHOL, MULT) are counted
+  /// and scored. Consumers that rank by predicted misses (prescreen
+  /// auto, model_accuracy) use this to tell the two apart.
   bool Unscored = false;
 };
 

@@ -108,10 +108,9 @@ public:
   unsigned lineShiftLog2() const { return LineShift; }
   unsigned setShiftLog2() const { return SetShift; }
 
-  /// One probe against an externalized packed direct-mapped set array —
-  /// the batched replay path keeps K of these lanes live at once, each
-  /// backed by a different CacheSim's directLines(), all sharing one
-  /// decoded block stream. \p Set and \p Key are precomputed by the
+  /// One probe against an externalized packed direct-mapped set array
+  /// (a CacheSim's directLines()), for the trace replayer's single-level
+  /// and hierarchy hot loops. \p Set and \p Key are precomputed by the
   /// caller from its register-resident geometry:
   ///   LineAddr = Addr >> lineShiftLog2()
   ///   Set      = LineAddr & directSetMask()
@@ -122,7 +121,7 @@ public:
   /// addWriteBacks). This mirrors the Ways == 1 branch of accessSetAssoc
   /// bit-for-bit — including the skipped store on read hits, which keeps
   /// repeated probes of a hot set off the store-to-load forwarding path —
-  /// and is the single definition the replayers inline, so the packing
+  /// and is the single definition both replay loops inline, so the packing
   /// invariant lives in exactly two places: accessSetAssoc and here.
   static PADX_ALWAYS_INLINE bool
   probeDirectLane(int64_t *PADX_RESTRICT Lines, int64_t Set, int64_t Key,
@@ -136,28 +135,6 @@ public:
     WriteBacks += (P >> 1) & 1;
     Lines[Set] = Key | (WriteBit << 1);
     return false;
-  }
-
-  /// Branch-free variant of probeDirectLane for the batched K-lane
-  /// replay loop. With K lanes probing per decoded access, the
-  /// hit/miss branch is taken K times per access with data-dependent,
-  /// per-lane outcomes — on conflict-heavy candidates (the very thing
-  /// the search hunts) it mispredicts constantly and the penalty
-  /// serializes all K lanes. Selects instead of branches keep the lane
-  /// streams running: the store is unconditional — on a read hit it
-  /// rewrites the identical packed word, so cache state stays
-  /// bit-for-bit equal to the branchy probe — and the select compiles
-  /// to cmov, never a jump. Returns 1 on hit, 0 on miss.
-  static PADX_ALWAYS_INLINE int64_t
-  probeDirectLaneBranchless(int64_t *PADX_RESTRICT Lines, int64_t Set,
-                            int64_t Key, int64_t WriteBit,
-                            uint64_t &WriteBacks) {
-    const int64_t P = Lines[Set];
-    const int64_t Hit = (P | 2) == (Key | 2);
-    WriteBacks +=
-        static_cast<uint64_t>((Hit ^ 1) & ((P >> 1) & 1));
-    Lines[Set] = (Hit ? P : Key) | (WriteBit << 1);
-    return Hit;
   }
 
   /// Empties the cache and zeroes statistics.

@@ -5,32 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batched K-way candidate replay (DESIGN.md section 14).
-///
-/// The sequential TraceReplayer made a candidate cost one add and one
-/// probe per access, but a search budget of hundreds of candidates
-/// still walks the recorded block stream hundreds of times. Padding
-/// candidates differ only in their affine remaps (base addresses and
-/// per-dimension byte strides), so one pass over the stream can score K
-/// layouts at once: the block decode — pattern lookup, start indices,
-/// iteration control, write flags — is shared, while each candidate
-/// keeps an independent lane of state (running addresses, per-ref byte
-/// deltas, a packed direct-mapped tag array). All per-lane state is
-/// struct-of-arrays with the lane index innermost, so the hot loop is K
-/// independent affine updates plus K tag probes with no cross-lane
-/// dependence — K disjoint store-to-load chains the CPU overlaps where
-/// the sequential replayer serialized on one.
-///
-/// Statistics are bit-identical per candidate to a sequential
-/// TraceReplayer into a fresh CacheSim — the probe is the same
-/// CacheSim::probeDirectLane definition — and the equivalence is
-/// enforced corpus-wide by BatchReplayEquivalenceTest and at bench time
-/// by replay_speedup --guard. Set-associative and fully-associative
-/// geometries keep the shared decode but probe per lane through
-/// CacheSim::probeLine (the packed lane state exists only for the
-/// direct-mapped paper configuration); element sizes wider than a line
-/// take the general per-lane access() route, exactly like the
-/// sequential replayer.
+/// Kept only for perfbench's per-layer exec probe, which names this
+/// class. padx has one replay engine, the sequential TraceReplayer
+/// (DESIGN.md section 9); this shim scores each layout through it into
+/// one reset CacheSim. Search, lint and padd never run it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,152 +20,35 @@
 #include "layout/DataLayout.h"
 #include "machine/CacheConfig.h"
 
-#include <cstdint>
 #include <span>
-#include <vector>
-
-/// The wide-probe kernel below is compiled for AVX-512 via a function
-/// target attribute (no global -march bump: the rest of the binary stays
-/// baseline x86-64) and selected at run time with __builtin_cpu_supports,
-/// so one binary serves both plain and AVX-512 hosts.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define PADX_REPLAY_AVX512 1
-#endif
 
 namespace padx {
 namespace exec {
 
-/// Replays a RecordedTrace once for up to kMaxLanes candidate layouts
-/// simultaneously. Not thread-safe; give each worker its own instance
-/// (the trace is shared read-only). Reusable across calls — per-lane
-/// simulators are kept and reset, so a search evaluating thousands of
-/// candidates in chunks of K pays the allocation once.
 class MultiTraceReplayer {
 public:
-  /// Hard lane ceiling: lane state for one batch must stay small enough
-  /// that K tag arrays fit in cache next to each other — past 16 lanes
-  /// of a 16K geometry the lanes start evicting one another and the
-  /// batch win inverts (see bench/replay_speedup --batch-sweep).
+  /// Layouts perfbench's probe hands replay() per call.
   static constexpr unsigned kMaxLanes = 16;
 
-  /// \p Trace must outlive the replayer; \p Config is the geometry every
-  /// lane simulates.
-  MultiTraceReplayer(const RecordedTrace &Trace,
-                     const CacheConfig &Config);
+  MultiTraceReplayer(const RecordedTrace &Trace, const CacheConfig &Config)
+      : Trace(Trace), Replayer(Trace), Sim(Config) {}
 
-  /// Streams the block stream once, scoring Layouts[i] into Stats[i].
-  /// Requires 1 <= Layouts.size() <= kMaxLanes and Stats.size() ==
-  /// Layouts.size(); every layout must belong to the recorded program
-  /// with all bases assigned. Returns the trace's record status
-  /// (TraceLimitReached when MaxAccesses truncated the recording).
+  /// Scores Layouts[i] into Stats[i] (Stats.size() >= Layouts.size())
+  /// and returns the trace's record status.
   RunStatus replay(std::span<const layout::DataLayout> Layouts,
-                   std::span<sim::CacheStats> Stats);
+                   std::span<sim::CacheStats> Stats) {
+    for (size_t I = 0; I != Layouts.size(); ++I) {
+      Sim.reset();
+      Replayer.replay(Layouts[I], Sim);
+      Stats[I] = Sim.stats();
+    }
+    return Trace.recordStatus();
+  }
 
 private:
-  /// Builds the lane-major remap state for the batch: bases, strides and
-  /// per-ref deltas of lane L interleaved at stride NumLanes.
-  void buildRemaps(std::span<const layout::DataLayout> Layouts);
-
-  /// The shared-decode streaming loop. KT > 0 is a compile-time lane
-  /// count (the inner lane loop fully unrolls); KT == 0 reads the count
-  /// from \p NumLanes at run time — the ragged-tail and odd-width path.
-  /// Probe(Lane, Addr, RefIndex) scores one access on one lane.
-  template <unsigned KT, typename ProbeFn>
-  void streamBlocks(unsigned NumLanes, ProbeFn &&Probe);
-
-  /// Direct-mapped hot path for a compile-time (KT > 0) or run-time
-  /// (KT == 0) lane count; accumulates per-lane hits and write-backs
-  /// into the arrays.
-  template <unsigned KT>
-  void replayDirect(unsigned NumLanes, uint64_t *Hits,
-                    uint64_t *WriteBacks);
-
-#if PADX_REPLAY_AVX512
-  /// Direct-mapped hot path with the whole lane row in zmm registers:
-  /// NV 8-lane vectors per row (NV = 1 → K = 8, NV = 2 → K = 16). The
-  /// K packed tag arrays live contiguously in TagArena so one gather /
-  /// masked scatter off a single base pointer probes and updates every
-  /// lane of an access at once; per-lane hit and write-back tallies stay
-  /// in vector accumulators. Semantically identical to replayDirect —
-  /// including the skipped store on read hits, which here becomes a
-  /// skipped scatter when no lane missed. Only called when
-  /// __builtin_cpu_supports("avx512f") at run time.
-  template <unsigned NV>
-  __attribute__((target("avx512f,avx512dq"))) void
-  replayDirectZmm(uint64_t *Hits, uint64_t *WriteBacks);
-
-  /// K = 16 variant with the whole batch in ONE zmm of 32-bit lanes:
-  /// one 16-way gather per access instead of two 8-way ones, and every
-  /// vector ALU op covers all lanes at once. Exact whenever every
-  /// probed byte address fits int32 — mod-2^32 lane arithmetic then
-  /// reproduces the 64-bit addresses bit-for-bit — which canReplayZmm32
-  /// establishes up front from the trace's logical index bounds and the
-  /// batch's bases and strides. Falls back to replayDirectZmm otherwise.
-  void replayDirectZmm32(uint64_t *Hits, uint64_t *WriteBacks)
-      __attribute__((target("avx512f,avx512dq")));
-
-  /// Gate for replayDirectZmm32: every pattern register-resident, the
-  /// geometry's arena indexable in int32, access counts within int32,
-  /// and — per lane — the address interval of every ref inside int32.
-  bool canReplayZmm32(unsigned K);
-
-  /// Lazily computes, per (ref, dimension), the min/max logical index
-  /// the trace ever instantiates (shared CSR indexing with
-  /// RecordedTrace::Deltas); canReplayZmm32 turns these into per-lane
-  /// byte-address bounds.
-  void buildIdxBounds();
-#endif
-
-  const RecordedTrace &T;
-  CacheConfig Config;
-
-  /// One simulator per lane, constructed on first use and reset per
-  /// batch; lane L's packed tag array is Sims[L].directLines().
-  std::vector<sim::CacheSim> Sims;
-
-  /// Lane-major remaps (lane innermost, batch width NumLanes):
-  ///   BaseLanes[Slot * NumLanes + L]
-  ///   StrideLanes[(SlotDimBegin[Slot] + Dim) * NumLanes + L]
-  ///   DeltaLanes[Ref * NumLanes + L]
-  ///   AddrLanes[RefInPattern * NumLanes + L]
-  std::vector<int64_t> BaseLanes;
-  std::vector<int64_t> StrideLanes;
-  std::vector<int64_t> DeltaLanes;
-  std::vector<int64_t> AddrLanes;
-  /// Prefix sum of array ranks: row index of slot S's dimension 0 in
-  /// StrideLanes.
-  std::vector<uint32_t> SlotDimBegin;
-
-  /// Contiguous packed line state for the zmm path, set-major and
-  /// lane-minor — word (Set, L) at TagArena[Set * K + L] — zeroed
-  /// (all-invalid) per batch; correlated candidate addresses then keep
-  /// each gather's K words on one or two cache lines. Words use the
-  /// zmm path's own packing, (LineAddr << 2) | valid << 1 | dirty,
-  /// chosen to minimize vector ops per probe (rationale at ZmmEnv in
-  /// the .cpp). The scalar paths use the lanes'
-  /// CacheSim::directLines() instead; word contents are not part of
-  /// the replay contract — only the settled CacheStats.
-  std::vector<int64_t> TagArena;
-  /// 32-bit arena of the one-zmm path (same set-major lane-minor
-  /// shape); half the footprint keeps all 16 lanes of a 16K-set
-  /// geometry inside L1.
-  std::vector<int32_t> TagArena32;
-  /// DeltaLanes truncated to int32 for the one-zmm path (truncation is
-  /// exact mod 2^32; see replayDirectZmm32).
-  std::vector<int32_t> DeltaLanes32;
-  /// Per (ref, dimension) logical index bounds, CSR-indexed like
-  /// RecordedTrace::Deltas; Lo > Hi means the ref never instantiates.
-  std::vector<int64_t> RefIdxLo;
-  std::vector<int64_t> RefIdxHi;
-  bool IdxBoundsBuilt = false;
-
-  /// Per ref, its IsWrite flag densely packed (shared by every lane —
-  /// the write stream is layout-independent).
-  std::vector<uint8_t> RefWrite;
-  /// Per pattern, writes per iteration, for bulk stats settling.
-  std::vector<uint32_t> PatternWrites;
-  size_t MaxPatternRefs = 0;
-  unsigned NumLanesBuilt = 0;
+  const RecordedTrace &Trace;
+  TraceReplayer Replayer;
+  sim::CacheSim Sim;
 };
 
 } // namespace exec

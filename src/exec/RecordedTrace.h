@@ -47,7 +47,6 @@
 namespace padx {
 namespace exec {
 
-class MultiTraceReplayer;
 class TraceRecorder;
 class TraceReplayer;
 
@@ -84,7 +83,6 @@ public:
   uint64_t id() const { return Id; }
 
 private:
-  friend class MultiTraceReplayer;
   friend class TraceRecorder;
   friend class TraceReplayer;
 

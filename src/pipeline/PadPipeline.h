@@ -67,7 +67,7 @@ struct PipelineStats {
   /// JSON object; callers wrap nothing around it. \p Extra, when
   /// non-null, is invoked after the "pipeline" member with the writer
   /// positioned at the top level, so callers can append sibling
-  /// sections (padtool adds a "search" object with the batch width) —
+  /// sections (padtool adds a "search" object with the search counters) —
   /// it must emit zero or more complete key/value members.
   void writeJson(std::ostream &OS,
                  const std::function<void(support::JsonWriter &)>

@@ -157,8 +157,8 @@ struct SearchResult {
   unsigned Rounds = 0;
   unsigned Restarts = 0;
   /// Candidates scored per exact evaluation: always 1, since the search
-  /// replays one candidate at a time (batched replay is a bench and
-  /// probe engine, exec::MultiTraceReplayer).
+  /// replays one candidate at a time. Kept only because perfbench reads
+  /// it for its search.batch_width metric.
   unsigned BatchWidth = 1;
   /// Wall-clock seconds spent inside exact-evaluation batches; with
   /// ExactEvaluations this yields the candidates/sec the tools report.

@@ -27,10 +27,10 @@
 /// Forces inlining of small probe helpers the optimizer may otherwise
 /// leave out-of-line at -O2 when they are instantiated many times.
 #define PADX_ALWAYS_INLINE inline __attribute__((always_inline))
-/// No-alias qualifier for the struct-of-arrays lane pointers in the
-/// batched replay loops: per-lane tag arrays never overlap each other
-/// or the address scratch, and saying so lets the vectorizer reorder
-/// the independent lane updates.
+/// No-alias qualifier for the packed direct-mapped set array the trace
+/// replayer probes (CacheSim::probeDirectLane): it never overlaps the
+/// write-back counter the probe updates, and saying so lets the
+/// compiler keep that counter in a register across set-array stores.
 #define PADX_RESTRICT __restrict__
 #else
 #define PADX_LIKELY(x) (x)

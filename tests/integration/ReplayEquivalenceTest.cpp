@@ -9,12 +9,15 @@
 /// tests/fuzz/corpus and a sweep of inter/intra padding candidates, the
 /// replayed cache statistics must be bit-identical to a fresh
 /// TraceRunner + CacheSim walk — across cache geometries, including
-/// MaxAccesses truncation. Programs the recorder declines (indirect
-/// subscripts) must keep evaluating through the cost model's direct
-/// fallback with unchanged results.
+/// MaxAccesses truncation. The same holds for perfbench's
+/// MultiTraceReplayer shim, which scores a whole sweep in one call.
+/// Programs the recorder declines (indirect subscripts) must keep
+/// evaluating through the cost model's direct fallback with unchanged
+/// results.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "exec/MultiTraceReplayer.h"
 #include "exec/RecordedTrace.h"
 #include "frontend/Parser.h"
 #include "search/Candidate.h"
@@ -141,16 +144,30 @@ TEST(ReplayEquivalence, CorpusSweepIsBitIdentical) {
 
     TraceReplayer Replayer(*T);
     for (const CacheConfig &Cfg : Geometries) {
+      std::vector<layout::DataLayout> Layouts;
+      std::vector<SimOutcome> Direct;
+      std::vector<std::string> Contexts;
       for (const search::Candidate &C :
            candidateSweep(P, Cfg.LineBytes)) {
-        layout::DataLayout DL = search::materialize(P, C);
-        SimOutcome Direct = directRun(P, DL, Cfg, Opts);
-        sim::CacheSim Sim(Cfg);
-        RunStatus Status = Replayer.replay(DL, Sim);
-        EXPECT_EQ(Status, Direct.Status) << Name;
-        expectEqualStats(Sim.stats(), Direct.Stats,
-                         Name + " " + Cfg.describe() + " " + C.key());
+        Layouts.push_back(search::materialize(P, C));
+        Direct.push_back(directRun(P, Layouts.back(), Cfg, Opts));
+        Contexts.push_back(Name + " " + Cfg.describe() + " " + C.key());
       }
+      for (size_t I = 0; I != Layouts.size(); ++I) {
+        sim::CacheSim Sim(Cfg);
+        RunStatus Status = Replayer.replay(Layouts[I], Sim);
+        EXPECT_EQ(Status, Direct[I].Status) << Name;
+        expectEqualStats(Sim.stats(), Direct[I].Stats, Contexts[I]);
+      }
+
+      // perfbench's shim: one call over the whole sweep.
+      MultiTraceReplayer Shim(*T, Cfg);
+      std::vector<sim::CacheStats> Stats(Layouts.size());
+      EXPECT_EQ(Shim.replay(Layouts, Stats), Direct.front().Status)
+          << Name;
+      for (size_t I = 0; I != Layouts.size(); ++I)
+        expectEqualStats(Stats[I], Direct[I].Stats,
+                         Contexts[I] + " (shim)");
     }
   }
 }
