@@ -35,10 +35,12 @@
 # cost, or if no kernel still demonstrates the L1-only search leaving
 # outer-level conflict misses the weighted objective recovers.
 #
-# Both sanitizer builds compile with -DPADX_FAULT_INJECTION=ON and
-# replay the ChaosTest corpus sweep under three fixed fault seeds, so
-# every injected-fault code path runs under ASan and TSan on every CI
-# cycle (the hooks stay disabled for all other tests).
+# The fault-injection hooks are compiled into every build, so tier-1
+# already runs the fault and chaos tests at the default seed; both
+# sanitizer builds also replay the ChaosTest corpus sweep under three
+# fixed fault seeds, so every injected-fault code path runs under ASan
+# and TSan on every CI cycle (the hooks stay disabled for all other
+# tests).
 #
 # Both configurations replay the fuzz corpus + crasher regressions via
 # the `fuzz_corpus_regression` ctest. When clang++ is on PATH a third
@@ -177,6 +179,12 @@ if command -v jq > /dev/null 2>&1; then
     jq -e '.pipeline.analysis_cache |
            .hits >= 0 and .misses >= 0 and .invalidated >= 0 and
            (.kinds | all(.hits >= 0 and .misses >= 0))' \
+      "$s" > /dev/null
+    # The eight memoized kinds, one row each, in AnalysisKind order.
+    jq -e '[.pipeline.analysis_cache.kinds[].name] ==
+           ["reference-groups", "iteration-counts", "safety",
+            "linear-algebra", "uniform-refs", "conflict-report",
+            "miss-estimate", "lattice-prediction"]' \
       "$s" > /dev/null
   done
 else
@@ -406,7 +414,7 @@ if command -v jq > /dev/null 2>&1; then
 fi
 
 echo "== sanitized: ASan+UBSan build + tests =="
-cmake -B build-asan -S . -DPADX_SANITIZE=ON -DPADX_FAULT_INJECTION=ON \
+cmake -B build-asan -S . -DPADX_SANITIZE=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
@@ -450,7 +458,6 @@ if [ -n "$TSAN_CXX" ]; then
   # handler, shared analysis cache). Running the whole suite under TSan
   # triples CI time for code that never spawns a thread.
   cmake -B build-tsan -S . -DPADX_SANITIZE_THREAD=ON \
-    -DPADX_FAULT_INJECTION=ON \
     -DCMAKE_CXX_COMPILER="$TSAN_CXX" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \

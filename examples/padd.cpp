@@ -35,10 +35,10 @@
 /// in-flight work, flush responses), or a {"op":"shutdown"} request
 /// ({"mode":"drain","drain_ms":MS} selects the graceful path).
 ///
-/// Fault injection (chaos builds only): when the binary was compiled
-/// with PADX_FAULT_INJECTION=1 and PADX_FAULT_SPEC is set in the
-/// environment, deterministic seeded faults fire inside the arena,
-/// socket and deadline layers (support/FaultInjection.h).
+/// Fault injection (chaos testing): when PADX_FAULT_SPEC is set in the
+/// environment, deterministic seeded faults (PADX_FAULT_SEED, default 1)
+/// fire inside the arena, socket and deadline layers
+/// (support/FaultInjection.h). A malformed spec or seed exits 1.
 ///
 /// Exit codes: 0 clean shutdown (including forced-but-flushed drains);
 /// 1 usage or startup failure.
@@ -153,19 +153,16 @@ int main(int argc, char **argv) {
   std::signal(SIGTERM, onSignal);
   std::signal(SIGPIPE, SIG_IGN);
 
-#if PADX_FAULT_INJECTION
   {
     std::string FaultDesc, FaultErr;
     if (support::fault::configureFromEnv(&FaultDesc, &FaultErr)) {
       std::fprintf(stderr, "padd fault injection active: %s\n",
                    FaultDesc.c_str());
     } else if (!FaultErr.empty()) {
-      std::fprintf(stderr, "error: PADX_FAULT_SPEC: %s\n",
-                   FaultErr.c_str());
+      std::fprintf(stderr, "error: %s\n", FaultErr.c_str());
       return 1;
     }
   }
-#endif
 
   server::PaddServer Srv(std::move(Opts));
   std::string Err;

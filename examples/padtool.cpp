@@ -572,7 +572,8 @@ int main(int argc, char **argv) {
             // The predictor's own counters as a headline section —
             // the same numbers live in the analysis-cache kinds array,
             // but harnesses watching the new tier shouldn't have to
-            // index into it.
+            // index into it. A multi-level machine counts once per
+            // level.
             const pipeline::AnalysisCounters &LC = PS.Analysis.of(
                 pipeline::AnalysisKind::LatticePrediction);
             JW.key("lattice_predictor");
@@ -610,16 +611,6 @@ int main(int argc, char **argv) {
                 JW.endObject();
               }
               JW.endArray();
-              JW.endObject();
-              const pipeline::AnalysisCounters &MC = PS.Analysis.of(
-                  pipeline::AnalysisKind::MachineLatticePrediction);
-              JW.key("machine_lattice_predictor");
-              JW.beginObject();
-              JW.field("hits", static_cast<int64_t>(MC.Hits));
-              JW.field("shared_hits",
-                       static_cast<int64_t>(MC.SharedHits));
-              JW.field("misses", static_cast<int64_t>(MC.Misses));
-              JW.field("seconds", MC.Seconds);
               JW.endObject();
             }
           };

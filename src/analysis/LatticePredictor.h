@@ -141,7 +141,8 @@ struct MachineLevelPrediction {
 };
 
 /// Per-level lattice prediction for a whole machine plus the weighted
-/// aggregate the multi-level search ranks by. Every level is scored
+/// aggregate, which equals search::StaticCostModel's cost (the model
+/// sums the same per-level terms itself). Every level is scored
 /// against the full reference stream — outer levels really see only the
 /// filtered misses of the level above, so their absolute terms are an
 /// over-approximation, but the lattice collision structure (which pairs
@@ -154,7 +155,7 @@ struct MachinePrediction {
   double WeightedMisses = 0;
   double WeightedConflictMisses = 0;
   /// Same for every level (unscorability is a property of the nest, not
-  /// the geometry); hoisted for stats plumbing.
+  /// the geometry); hoisted so callers need not pick a level.
   unsigned UnscoredNests = 0;
 };
 

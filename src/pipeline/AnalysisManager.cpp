@@ -11,31 +11,12 @@
 #include "pipeline/SharedAnalysisCache.h"
 
 #include <chrono>
-#include <cstring>
+#include <memory>
+#include <type_traits>
+#include <utility>
 
 using namespace padx;
 using namespace padx::pipeline;
-
-namespace {
-
-/// Accumulates wall time into a kind's Seconds for the duration of one
-/// computation.
-class ComputeTimer {
-public:
-  explicit ComputeTimer(AnalysisCounters &C)
-      : C(C), Start(std::chrono::steady_clock::now()) {}
-  ~ComputeTimer() {
-    C.Seconds += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - Start)
-                     .count();
-  }
-
-private:
-  AnalysisCounters &C;
-  std::chrono::steady_clock::time_point Start;
-};
-
-} // namespace
 
 const char *pipeline::analysisKindName(AnalysisKind K) {
   switch (K) {
@@ -49,16 +30,12 @@ const char *pipeline::analysisKindName(AnalysisKind K) {
     return "linear-algebra";
   case AnalysisKind::UniformRefs:
     return "uniform-refs";
-  case AnalysisKind::Reuse:
-    return "reuse";
   case AnalysisKind::ConflictReport:
     return "conflict-report";
   case AnalysisKind::MissEstimate:
     return "miss-estimate";
   case AnalysisKind::LatticePrediction:
     return "lattice-prediction";
-  case AnalysisKind::MachineLatticePrediction:
-    return "machine-lattice-prediction";
   }
   return "unknown";
 }
@@ -91,13 +68,6 @@ uint64_t AnalysisStats::totalInvalidated() const {
   return N;
 }
 
-double AnalysisStats::totalSeconds() const {
-  double S = 0;
-  for (const AnalysisCounters &C : Kinds)
-    S += C.Seconds;
-  return S;
-}
-
 void AnalysisStats::merge(const AnalysisStats &Other) {
   for (unsigned I = 0; I != kNumAnalysisKinds; ++I) {
     Kinds[I].Hits += Other.Kinds[I].Hits;
@@ -123,26 +93,67 @@ AnalysisStats AnalysisManager::statsSnapshot() const {
   return Stats;
 }
 
-void AnalysisManager::resetStats() {
-  std::lock_guard<std::mutex> L(M);
-  Stats = AnalysisStats();
+template <typename T, typename SharedSlotT, typename ComputeFn>
+const T &AnalysisManager::memo(AnalysisKind K, std::optional<T> &Slot,
+                               const LayoutKey *Key, SharedSlotT SharedSlot,
+                               ComputeFn Compute) {
+  // LoopGroup holds raw pointers into *this* manager's ir::Program,
+  // which another request's manager (a different Program instance,
+  // possibly already destroyed) must never observe; such kinds pass no
+  // shared slot.
+  constexpr bool Shareable = !std::is_null_pointer_v<SharedSlotT>;
+  constexpr bool ProgramLevel = std::is_same_v<
+      SharedSlotT,
+      SharedAnalysisCache::Ptr<T> SharedAnalysisCache::ProgramSlots::*>;
+  AnalysisCounters &C = Stats.Kinds[static_cast<unsigned>(K)];
+  if (EnableCache && Slot) {
+    ++C.Hits;
+    return *Slot;
+  }
+  const bool UseShared = EnableCache && Shared;
+  if constexpr (Shareable) {
+    if (UseShared) {
+      SharedAnalysisCache::Ptr<T> Hit;
+      if constexpr (ProgramLevel)
+        Hit = Shared->getProgram(SharedFP, SharedSlot, K);
+      else
+        Hit = Shared->getLayout(SharedFP, *Key, SharedSlot, K);
+      if (Hit) {
+        ++C.SharedHits;
+        Slot = *Hit;
+        return *Slot;
+      }
+    }
+  }
+
+  ++C.Misses;
+  const double Outer = std::exchange(NestedSeconds, 0.0);
+  const auto Start = std::chrono::steady_clock::now();
+  // Assign rather than emplace: with caching disabled a caller may
+  // still hold a reference to the previous result of this slot.
+  Slot = Compute();
+  const double Elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+  C.Seconds += Elapsed - NestedSeconds;
+  NestedSeconds = Outer + Elapsed;
+
+  if constexpr (Shareable) {
+    if (UseShared) {
+      auto Copy = std::make_shared<const T>(*Slot);
+      if constexpr (ProgramLevel)
+        Shared->putProgram(SharedFP, SharedSlot, std::move(Copy));
+      else
+        Shared->putLayout(SharedFP, *Key, SharedSlot, std::move(Copy));
+    }
+  }
+  return *Slot;
 }
 
 const std::vector<analysis::LoopGroup> &
 AnalysisManager::referenceGroupsLocked() {
-  AnalysisCounters &C = counters(AnalysisKind::ReferenceGroups);
-  if (EnableCache && Groups) {
-    ++C.Hits;
-    return *Groups;
-  }
-  // Never consult or publish the shared cache: LoopGroup holds raw
-  // pointers into *this* manager's ir::Program, which another request's
-  // manager (a different Program instance, possibly already destroyed)
-  // must never observe.
-  ++C.Misses;
-  ComputeTimer T(C);
-  Groups = analysis::collectLoopGroups(*Prog);
-  return *Groups;
+  return memo(AnalysisKind::ReferenceGroups, Groups, nullptr, nullptr,
+              [&] { return analysis::collectLoopGroups(*Prog); });
 }
 
 const std::vector<analysis::LoopGroup> &
@@ -152,32 +163,11 @@ AnalysisManager::referenceGroups() {
 }
 
 const std::vector<double> &AnalysisManager::iterationCountsLocked() {
-  AnalysisCounters &C = counters(AnalysisKind::IterationCounts);
-  if (EnableCache && Iterations) {
-    ++C.Hits;
-    return *Iterations;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getProgram(
-            SharedFP, &SharedAnalysisCache::ProgramSlots::Iterations,
-            static_cast<unsigned>(AnalysisKind::IterationCounts))) {
-      ++C.SharedHits;
-      Iterations = *P;
-      return *Iterations;
-    }
-  }
-  // Resolve the dependency before the timer so nested group collection
-  // is charged to its own kind, not double-counted here.
-  const std::vector<analysis::LoopGroup> &G = referenceGroupsLocked();
-  ++C.Misses;
-  ComputeTimer T(C);
-  Iterations = analysis::countGroupIterations(G);
-  if (EnableCache && Shared)
-    Shared->putProgram(SharedFP,
-                       &SharedAnalysisCache::ProgramSlots::Iterations,
-                       std::make_shared<const std::vector<double>>(
-                           *Iterations));
-  return *Iterations;
+  return memo(AnalysisKind::IterationCounts, Iterations, nullptr,
+              &SharedAnalysisCache::ProgramSlots::Iterations, [&] {
+                return analysis::countGroupIterations(
+                    referenceGroupsLocked());
+              });
 }
 
 const std::vector<double> &AnalysisManager::iterationCounts() {
@@ -187,80 +177,23 @@ const std::vector<double> &AnalysisManager::iterationCounts() {
 
 const analysis::SafetyInfo &AnalysisManager::safety() {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::Safety);
-  if (EnableCache && Safety) {
-    ++C.Hits;
-    return *Safety;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getProgram(
-            SharedFP, &SharedAnalysisCache::ProgramSlots::Safety,
-            static_cast<unsigned>(AnalysisKind::Safety))) {
-      ++C.SharedHits;
-      Safety = *P;
-      return *Safety;
-    }
-  }
-  ++C.Misses;
-  ComputeTimer T(C);
-  Safety = analysis::analyzeSafety(*Prog);
-  if (EnableCache && Shared)
-    Shared->putProgram(
-        SharedFP, &SharedAnalysisCache::ProgramSlots::Safety,
-        std::make_shared<const analysis::SafetyInfo>(*Safety));
-  return *Safety;
+  return memo(AnalysisKind::Safety, Safety, nullptr,
+              &SharedAnalysisCache::ProgramSlots::Safety,
+              [&] { return analysis::analyzeSafety(*Prog); });
 }
 
 const std::vector<bool> &AnalysisManager::linearAlgebraArrays() {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::LinearAlgebra);
-  if (EnableCache && LinAlg) {
-    ++C.Hits;
-    return *LinAlg;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getProgram(
-            SharedFP, &SharedAnalysisCache::ProgramSlots::LinAlg,
-            static_cast<unsigned>(AnalysisKind::LinearAlgebra))) {
-      ++C.SharedHits;
-      LinAlg = *P;
-      return *LinAlg;
-    }
-  }
-  ++C.Misses;
-  ComputeTimer T(C);
-  LinAlg = analysis::detectLinearAlgebraArrays(*Prog);
-  if (EnableCache && Shared)
-    Shared->putProgram(
-        SharedFP, &SharedAnalysisCache::ProgramSlots::LinAlg,
-        std::make_shared<const std::vector<bool>>(*LinAlg));
-  return *LinAlg;
+  return memo(AnalysisKind::LinearAlgebra, LinAlg, nullptr,
+              &SharedAnalysisCache::ProgramSlots::LinAlg,
+              [&] { return analysis::detectLinearAlgebraArrays(*Prog); });
 }
 
 double AnalysisManager::percentUniformRefs() {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::UniformRefs);
-  if (EnableCache && UniformPct) {
-    ++C.Hits;
-    return *UniformPct;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getProgram(
-            SharedFP, &SharedAnalysisCache::ProgramSlots::UniformPct,
-            static_cast<unsigned>(AnalysisKind::UniformRefs))) {
-      ++C.SharedHits;
-      UniformPct = *P;
-      return *UniformPct;
-    }
-  }
-  ++C.Misses;
-  ComputeTimer T(C);
-  UniformPct = analysis::percentUniformRefs(*Prog);
-  if (EnableCache && Shared)
-    Shared->putProgram(SharedFP,
-                       &SharedAnalysisCache::ProgramSlots::UniformPct,
-                       std::make_shared<const double>(*UniformPct));
-  return *UniformPct;
+  return memo(AnalysisKind::UniformRefs, UniformPct, nullptr,
+              &SharedAnalysisCache::ProgramSlots::UniformPct,
+              [&] { return analysis::percentUniformRefs(*Prog); });
 }
 
 AnalysisManager::LayoutKey
@@ -280,32 +213,6 @@ AnalysisManager::makeKey(const layout::DataLayout &DL,
   return Key;
 }
 
-AnalysisManager::LayoutKey
-AnalysisManager::makeKey(const layout::DataLayout &DL,
-                         const MachineModel &Machine) {
-  LayoutKey Key;
-  Key.reserve(2 + Machine.numLevels() + 2 * DL.numArrays());
-  // Geometry prefixes of the CacheConfig overload start with a positive
-  // cache size, so -1 keeps the two key families disjoint.
-  Key.push_back(-1);
-  Key.push_back(static_cast<int64_t>(Machine.fingerprint()));
-  for (const CacheLevel &L : Machine.Levels) {
-    // Exact weight bits: the fingerprint is geometry-only, but a cached
-    // MachinePrediction bakes weights into its aggregate.
-    int64_t Bits;
-    static_assert(sizeof(Bits) == sizeof(L.Weight));
-    std::memcpy(&Bits, &L.Weight, sizeof(Bits));
-    Key.push_back(Bits);
-  }
-  for (unsigned Id = 0, E = DL.numArrays(); Id != E; ++Id) {
-    const layout::ArrayLayout &L = DL.layout(Id);
-    Key.push_back(L.BaseAddr);
-    for (int64_t D : L.Dims)
-      Key.push_back(D);
-  }
-  return Key;
-}
-
 AnalysisManager::LayoutEntry &
 AnalysisManager::layoutEntryLocked(const LayoutKey &Key) {
   if (!EnableCache)
@@ -315,183 +222,77 @@ AnalysisManager::layoutEntryLocked(const LayoutKey &Key) {
   return LayoutCache[Key];
 }
 
+// The layout-keyed computations below query only program-level kinds,
+// which never touch the layout map, so the entry they fill stays put.
+
 const analysis::ProgramEstimate &
 AnalysisManager::missEstimate(const layout::DataLayout &DL,
                               const CacheConfig &Cache) {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::MissEstimate);
-  LayoutKey Key = makeKey(DL, Cache);
-  LayoutEntry &E = layoutEntryLocked(Key);
-  if (EnableCache && E.Estimate) {
-    ++C.Hits;
-    return *E.Estimate;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getLayout(
-            SharedFP, Key, &SharedAnalysisCache::LayoutSlots::Estimate,
-            static_cast<unsigned>(AnalysisKind::MissEstimate))) {
-      ++C.SharedHits;
-      E.Estimate = *P;
-      return *E.Estimate;
-    }
-  }
-  // Resolve dependencies before touching E: with caching disabled the
-  // recursive queries overwrite the program-level slots in place, and
-  // the references stay valid because optional storage is stable.
-  const std::vector<analysis::LoopGroup> &G = referenceGroupsLocked();
-  const std::vector<double> &I = iterationCountsLocked();
-  ++C.Misses;
-  ComputeTimer T(C);
-  E.Estimate = analysis::estimateMisses(DL, Cache, G, I);
-  if (EnableCache && Shared)
-    Shared->putLayout(SharedFP, Key,
-                      &SharedAnalysisCache::LayoutSlots::Estimate,
-                      std::make_shared<const analysis::ProgramEstimate>(
-                          *E.Estimate));
-  return *E.Estimate;
+  const LayoutKey Key = makeKey(DL, Cache);
+  return memo(AnalysisKind::MissEstimate, layoutEntryLocked(Key).Estimate,
+              &Key, &SharedAnalysisCache::LayoutSlots::Estimate, [&] {
+                const auto &G = referenceGroupsLocked();
+                return analysis::estimateMisses(DL, Cache, G,
+                                                iterationCountsLocked());
+              });
 }
 
 const std::vector<analysis::ConflictEntry> &
 AnalysisManager::severeConflicts(const layout::DataLayout &DL,
                                  const CacheConfig &Cache) {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::ConflictReport);
-  LayoutKey Key = makeKey(DL, Cache);
-  LayoutEntry &E = layoutEntryLocked(Key);
-  if (EnableCache && E.Severe) {
-    ++C.Hits;
-    return *E.Severe;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getLayout(
-            SharedFP, Key, &SharedAnalysisCache::LayoutSlots::Severe,
-            static_cast<unsigned>(AnalysisKind::ConflictReport))) {
-      ++C.SharedHits;
-      E.Severe = *P;
-      return *E.Severe;
-    }
-  }
-  const std::vector<analysis::LoopGroup> &G = referenceGroupsLocked();
-  ++C.Misses;
-  ComputeTimer T(C);
-  E.Severe = analysis::reportConflicts(DL, Cache, G, /*SevereOnly=*/true);
-  if (EnableCache && Shared)
-    Shared->putLayout(
-        SharedFP, Key, &SharedAnalysisCache::LayoutSlots::Severe,
-        std::make_shared<const std::vector<analysis::ConflictEntry>>(
-            *E.Severe));
-  return *E.Severe;
-}
-
-const std::vector<analysis::GroupReuse> &
-AnalysisManager::reuse(const layout::DataLayout &DL,
-                       const CacheConfig &Cache) {
-  std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::Reuse);
-  LayoutKey Key = makeKey(DL, Cache);
-  LayoutEntry &E = layoutEntryLocked(Key);
-  if (EnableCache && E.Reuse) {
-    ++C.Hits;
-    return *E.Reuse;
-  }
-  // Reuse results point back into this manager's loop groups (and
-  // through them into the Program), so like ReferenceGroups they are
-  // never shared across managers.
-  const std::vector<analysis::LoopGroup> &G = referenceGroupsLocked();
-  ++C.Misses;
-  ComputeTimer T(C);
-  std::vector<analysis::GroupReuse> R;
-  R.reserve(G.size());
-  for (const analysis::LoopGroup &Group : G)
-    R.push_back(analysis::analyzeReuse(DL, Group, Cache.LineBytes));
-  E.Reuse = std::move(R);
-  return *E.Reuse;
+  const LayoutKey Key = makeKey(DL, Cache);
+  return memo(AnalysisKind::ConflictReport, layoutEntryLocked(Key).Severe,
+              &Key, &SharedAnalysisCache::LayoutSlots::Severe, [&] {
+                return analysis::reportConflicts(DL, Cache,
+                                                 referenceGroupsLocked(),
+                                                 /*SevereOnly=*/true);
+              });
 }
 
 const analysis::LatticePrediction &
 AnalysisManager::latticePrediction(const layout::DataLayout &DL,
                                    const CacheConfig &Cache) {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::LatticePrediction);
-  LayoutKey Key = makeKey(DL, Cache);
-  LayoutEntry &E = layoutEntryLocked(Key);
-  if (EnableCache && E.Lattice) {
-    ++C.Hits;
-    return *E.Lattice;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getLayout(
-            SharedFP, Key, &SharedAnalysisCache::LayoutSlots::Lattice,
-            static_cast<unsigned>(AnalysisKind::LatticePrediction))) {
-      ++C.SharedHits;
-      E.Lattice = *P;
-      return *E.Lattice;
-    }
-  }
-  const std::vector<analysis::LoopGroup> &G = referenceGroupsLocked();
-  const std::vector<double> &I = iterationCountsLocked();
-  ++C.Misses;
-  ComputeTimer T(C);
-  E.Lattice = analysis::predictConflicts(DL, Cache, G, I);
-  Stats.PredictorUnscored += E.Lattice->UnscoredNests;
-  if (EnableCache && Shared)
-    Shared->putLayout(
-        SharedFP, Key, &SharedAnalysisCache::LayoutSlots::Lattice,
-        std::make_shared<const analysis::LatticePrediction>(*E.Lattice));
-  return *E.Lattice;
+  const LayoutKey Key = makeKey(DL, Cache);
+  return memo(AnalysisKind::LatticePrediction,
+              layoutEntryLocked(Key).Lattice, &Key,
+              &SharedAnalysisCache::LayoutSlots::Lattice, [&] {
+                const auto &G = referenceGroupsLocked();
+                analysis::LatticePrediction P = analysis::predictConflicts(
+                    DL, Cache, G, iterationCountsLocked());
+                Stats.PredictorUnscored += P.UnscoredNests;
+                return P;
+              });
 }
 
-const analysis::MachinePrediction &
+std::vector<analysis::GroupReuse>
+AnalysisManager::reuse(const layout::DataLayout &DL,
+                       const CacheConfig &Cache) {
+  std::lock_guard<std::mutex> L(M);
+  std::vector<analysis::GroupReuse> R;
+  for (const analysis::LoopGroup &Group : referenceGroupsLocked())
+    R.push_back(analysis::analyzeReuse(DL, Group, Cache.LineBytes));
+  return R;
+}
+
+analysis::MachinePrediction
 AnalysisManager::machineLatticePrediction(const layout::DataLayout &DL,
                                           const MachineModel &Machine) {
   std::lock_guard<std::mutex> L(M);
-  AnalysisCounters &C = counters(AnalysisKind::MachineLatticePrediction);
-  LayoutKey Key = makeKey(DL, Machine);
-  LayoutEntry &E = layoutEntryLocked(Key);
-  if (EnableCache && E.MachineLattice) {
-    ++C.Hits;
-    return *E.MachineLattice;
-  }
-  if (EnableCache && Shared) {
-    if (auto P = Shared->getLayout(
-            SharedFP, Key,
-            &SharedAnalysisCache::LayoutSlots::MachineLattice,
-            static_cast<unsigned>(
-                AnalysisKind::MachineLatticePrediction))) {
-      ++C.SharedHits;
-      E.MachineLattice = *P;
-      return *E.MachineLattice;
-    }
-  }
-  const std::vector<analysis::LoopGroup> &G = referenceGroupsLocked();
-  const std::vector<double> &I = iterationCountsLocked();
-  ++C.Misses;
-  ComputeTimer T(C);
-  E.MachineLattice = analysis::predictConflicts(DL, Machine, G, I);
-  // Once per machine, not per level: unscorability is a property of the
-  // nest, so every level reports the same count.
-  Stats.PredictorUnscored += E.MachineLattice->UnscoredNests;
-  if (EnableCache && Shared)
-    Shared->putLayout(
-        SharedFP, Key,
-        &SharedAnalysisCache::LayoutSlots::MachineLattice,
-        std::make_shared<const analysis::MachinePrediction>(
-            *E.MachineLattice));
-  return *E.MachineLattice;
+  const auto &G = referenceGroupsLocked();
+  return analysis::predictConflicts(DL, Machine, G, iterationCountsLocked());
 }
 
 void AnalysisManager::invalidateLayoutResultsLocked() {
-  for (auto &[Key, E] : LayoutCache) {
-    if (E.Estimate)
-      ++counters(AnalysisKind::MissEstimate).Invalidated;
-    if (E.Severe)
-      ++counters(AnalysisKind::ConflictReport).Invalidated;
-    if (E.Reuse)
-      ++counters(AnalysisKind::Reuse).Invalidated;
-    if (E.Lattice)
-      ++counters(AnalysisKind::LatticePrediction).Invalidated;
-    if (E.MachineLattice)
-      ++counters(AnalysisKind::MachineLatticePrediction).Invalidated;
+  auto Drop = [&](AnalysisKind K, bool Held) {
+    Stats.Kinds[static_cast<unsigned>(K)].Invalidated += Held;
+  };
+  for (const auto &[Key, E] : LayoutCache) {
+    Drop(AnalysisKind::MissEstimate, E.Estimate.has_value());
+    Drop(AnalysisKind::ConflictReport, E.Severe.has_value());
+    Drop(AnalysisKind::LatticePrediction, E.Lattice.has_value());
   }
   LayoutCache.clear();
 }

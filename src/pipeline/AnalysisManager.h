@@ -15,8 +15,18 @@
 ///    linear-algebra flags, uniform-reference percentage), computed once
 ///    per program — no layout or cache geometry involved;
 ///  - layout-dependent results (miss estimate, severe-conflict report,
-///    reuse classes), keyed by a fingerprint of (base addresses, padded
-///    dimensions, cache geometry).
+///    lattice prediction), keyed by a fingerprint of (cache geometry,
+///    base addresses, padded dimensions). A multi-level machine is
+///    queried one level at a time, so one level's entry serves every
+///    machine that has that level's geometry.
+///
+/// Every kind goes through one private routine, memo(), which owns the
+/// whole caching policy: a local hit, else a shared hit (when a
+/// SharedAnalysisCache is attached and the kind is value-only), else a
+/// timed computation that is published back to the shared cache. A
+/// kind's Seconds is its self time: a computation that queries another
+/// kind (the miss estimate needs the iteration counts) is not charged
+/// for the nested one.
 ///
 /// Invalidation contract (DESIGN.md section 11): the manager never
 /// observes layout mutation. A caller that mutates a DataLayout in place
@@ -44,19 +54,16 @@
 /// thread; cross-thread observers use statsSnapshot(), which copies
 /// under the lock.
 ///
-/// With an attached SharedAnalysisCache, a local miss consults the
-/// shared cache before computing (counted as SharedHits when it
-/// delivers — the result is copied out, never aliased), and every
-/// locally computed result is published back as an immutable copy. The
-/// shared cache is only consulted when this manager's own caching is
-/// enabled — EnableCache=false stays a true recompute-everything
-/// baseline.
+/// Shared results are copied out, never aliased, and the shared cache
+/// is only consulted when this manager's own caching is enabled —
+/// EnableCache=false stays a true recompute-everything baseline.
 ///
 /// Returned references are valid until the next invalidateLayoutResults()
 /// or, for layout-keyed results, until the entry cap forces an eviction
-/// sweep. With caching disabled (the benchmark baseline), every query
-/// recomputes and a returned reference is only valid until the next query
-/// of the same kind.
+/// sweep — so read a layout-keyed result before the next layout query.
+/// With caching disabled (the benchmark baseline), every query
+/// recomputes and a returned reference is only valid until the next
+/// query of the same kind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,23 +98,22 @@ enum class AnalysisKind : unsigned {
   Safety,
   LinearAlgebra,
   UniformRefs,
-  Reuse,
   ConflictReport,
   MissEstimate,
-  LatticePrediction,
-  MachineLatticePrediction,
+  LatticePrediction, ///< Keep last: it sizes kNumAnalysisKinds.
 };
-inline constexpr unsigned kNumAnalysisKinds = 10;
+inline constexpr unsigned kNumAnalysisKinds =
+    static_cast<unsigned>(AnalysisKind::LatticePrediction) + 1;
 
 /// Stable lowercase-hyphen name, e.g. "reference-groups" (stats output).
 const char *analysisKindName(AnalysisKind K);
 
 /// Hit/miss accounting for one analysis kind. Seconds accumulates only
-/// over actual computations (misses), so Seconds / Misses is the mean
-/// cost of the analysis and Hits * (Seconds / Misses) estimates the time
-/// the cache saved. SharedHits counts results served from an attached
-/// SharedAnalysisCache — cross-request reuse, distinct from both local
-/// hits and misses.
+/// over actual computations (misses), as self time, so Seconds / Misses
+/// is the mean cost of the analysis and Hits * (Seconds / Misses)
+/// estimates the time the cache saved. SharedHits counts results served
+/// from an attached SharedAnalysisCache — cross-request reuse, distinct
+/// from both local hits and misses.
 struct AnalysisCounters {
   uint64_t Hits = 0;
   uint64_t SharedHits = 0;
@@ -119,9 +125,9 @@ struct AnalysisCounters {
 struct AnalysisStats {
   std::array<AnalysisCounters, kNumAnalysisKinds> Kinds;
   /// Unscored nests (NestPrediction::Unscored) accumulated over every
-  /// lattice prediction this manager *computed* — cache hits do not
-  /// re-count. Zero predicted misses with a nonzero count here means
-  /// "couldn't score", not "no conflicts".
+  /// lattice prediction this manager *computed*, once per computed
+  /// level — cache hits do not re-count. Zero predicted misses with a
+  /// nonzero count here means "couldn't score", not "no conflicts".
   uint64_t PredictorUnscored = 0;
 
   const AnalysisCounters &of(AnalysisKind K) const {
@@ -131,7 +137,6 @@ struct AnalysisStats {
   uint64_t totalSharedHits() const;
   uint64_t totalMisses() const;
   uint64_t totalInvalidated() const;
-  double totalSeconds() const;
 
   /// Pointwise sum (padlint aggregates per-file pipelines).
   void merge(const AnalysisStats &Other);
@@ -154,7 +159,6 @@ public:
   /// published back. \p Shared must outlive the manager. Fingerprinting
   /// prints the program once; attach before the first query.
   void attachSharedCache(SharedAnalysisCache *Shared);
-  bool hasSharedCache() const { return Shared != nullptr; }
 
   /// \name Program-level analyses (layout-independent)
   /// @{
@@ -167,7 +171,7 @@ public:
   /// @}
 
   /// \name Layout-dependent analyses
-  /// Keyed by (base addresses, padded dims, cache geometry). \p DL must
+  /// Keyed by (cache geometry, base addresses, padded dims). \p DL must
   /// view the manager's program.
   /// @{
   const analysis::ProgramEstimate &
@@ -176,22 +180,26 @@ public:
   /// repair move and the lint rules consume.
   const std::vector<analysis::ConflictEntry> &
   severeConflicts(const layout::DataLayout &DL, const CacheConfig &Cache);
-  /// Reuse classes per loop group, aligned with referenceGroups().
-  const std::vector<analysis::GroupReuse> &
-  reuse(const layout::DataLayout &DL, const CacheConfig &Cache);
   /// Analytic conflict prediction from the associativity lattice — the
   /// simulation-free tier behind search pre-screening and the
-  /// predicted-conflict-volume lint rules.
+  /// predicted-conflict-volume lint rules. Multi-level consumers query
+  /// it once per level.
   const analysis::LatticePrediction &
   latticePrediction(const layout::DataLayout &DL,
                     const CacheConfig &Cache);
-  /// Per-level lattice prediction for a whole machine — the tenth
-  /// memoized kind, keyed by (layout, hierarchy fingerprint, weights)
-  /// so distinct hierarchies over one layout cache independently and a
-  /// cached entry's weighted aggregate is exactly the caller's. The
-  /// shared (cross-request) cache keys the same way, so daemon requests
-  /// naming the same machine reuse each other's predictions.
-  const analysis::MachinePrediction &
+  /// @}
+
+  /// \name Un-memoized pass-throughs
+  /// Kept only because perfbench/ calls them. Each computes on every
+  /// call from the memoized reference groups (and iteration counts),
+  /// has no cache slot or counters of its own, and returns by value.
+  /// @{
+  /// Reuse classes per loop group, aligned with referenceGroups(); the
+  /// group pointers stay valid while those groups stay cached.
+  std::vector<analysis::GroupReuse> reuse(const layout::DataLayout &DL,
+                                          const CacheConfig &Cache);
+  /// analysis::predictConflicts over every level of \p Machine.
+  analysis::MachinePrediction
   machineLatticePrediction(const layout::DataLayout &DL,
                            const MachineModel &Machine);
   /// @}
@@ -207,7 +215,6 @@ public:
   /// Copy of the counters taken under the manager's lock — safe while
   /// other threads query this manager.
   AnalysisStats statsSnapshot() const;
-  void resetStats();
 
   /// Cap on distinct layout fingerprints held at once. A hill-climbing
   /// search re-visits recent layouts but never needs an unbounded
@@ -222,27 +229,26 @@ private:
   struct LayoutEntry {
     std::optional<analysis::ProgramEstimate> Estimate;
     std::optional<std::vector<analysis::ConflictEntry>> Severe;
-    std::optional<std::vector<analysis::GroupReuse>> Reuse;
     std::optional<analysis::LatticePrediction> Lattice;
-    std::optional<analysis::MachinePrediction> MachineLattice;
   };
 
   using LayoutKey = std::vector<int64_t>;
   static LayoutKey makeKey(const layout::DataLayout &DL,
                            const CacheConfig &Cache);
-  /// Machine-keyed variant: a leading discriminator keeps hierarchy
-  /// keys disjoint from the 3-int CacheConfig geometry prefix above
-  /// (cache sizes are positive, the discriminator is not).
-  static LayoutKey makeKey(const layout::DataLayout &DL,
-                           const MachineModel &Machine);
 
-  AnalysisCounters &counters(AnalysisKind K) {
-    return Stats.Kinds[static_cast<unsigned>(K)];
-  }
+  /// The caching policy, the only place it is written down: returns
+  /// \p Slot if it holds a result (a hit), else the shared cache's copy
+  /// under \p SharedSlot (a shared hit; pass nullptr for kinds that carry
+  /// IR pointers and so must stay local), else stores \p Compute()'s
+  /// result in \p Slot, charges its self time to \p K and publishes a
+  /// copy. \p Key is the layout key, null for program-level kinds.
+  template <typename T, typename SharedSlotT, typename ComputeFn>
+  const T &memo(AnalysisKind K, std::optional<T> &Slot, const LayoutKey *Key,
+                SharedSlotT SharedSlot, ComputeFn Compute);
 
   /// \name Lock-held implementations.
-  /// Public accessors take the lock once and forward here; the Impl
-  /// functions may call each other (dependencies) without re-locking.
+  /// Public accessors take the lock once and forward here; computations
+  /// resolve their dependencies through these without re-locking.
   /// @{
   const std::vector<analysis::LoopGroup> &referenceGroupsLocked();
   const std::vector<double> &iterationCountsLocked();
@@ -253,9 +259,12 @@ private:
   const ir::Program *Prog;
   bool EnableCache;
   AnalysisStats Stats;
+  /// Wall time of the computations nested inside the one memo() is
+  /// timing, subtracted from its kind's Seconds.
+  double NestedSeconds = 0;
 
-  /// Guards everything below plus Stats. See the locking model in the
-  /// file comment.
+  /// Guards everything below plus Stats and NestedSeconds. See the
+  /// locking model in the file comment.
   mutable std::mutex M;
 
   // Program-level slots. With caching disabled these are recomputed and

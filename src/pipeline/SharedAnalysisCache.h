@@ -41,12 +41,7 @@
 #ifndef PADX_PIPELINE_SHAREDANALYSISCACHE_H
 #define PADX_PIPELINE_SHAREDANALYSISCACHE_H
 
-#include "analysis/ConflictReport.h"
-#include "analysis/LatticePredictor.h"
-#include "analysis/MissEstimate.h"
-#include "analysis/ReferenceGroups.h"
-#include "analysis/Reuse.h"
-#include "analysis/Safety.h"
+#include "pipeline/AnalysisManager.h"
 
 #include <array>
 #include <atomic>
@@ -77,7 +72,7 @@ struct SharedCacheCounters {
 
 struct SharedCacheStats {
   /// Indexed by AnalysisKind (pipeline/AnalysisManager.h).
-  std::array<SharedCacheCounters, 10> Kinds;
+  std::array<SharedCacheCounters, kNumAnalysisKinds> Kinds;
   uint64_t Evicted = 0;
   uint64_t ProgramEntries = 0;
   uint64_t LayoutEntries = 0;
@@ -97,30 +92,26 @@ public:
   /// Per-program-fingerprint slots, filled lazily per kind.
   ///
   /// Only *value-only* analysis results live here. ReferenceGroups
-  /// (analysis::LoopGroup) and Reuse (analysis::GroupReuse) carry raw
-  /// pointers into one specific ir::Program instance; two textually
-  /// identical programs parsed by two requests are distinct objects, and
-  /// the first request's IR dies with its arena — a shared pointer-
-  /// carrying result would dangle (or worse, silently alias the next
-  /// request's IR at recycled addresses). Those kinds stay strictly
-  /// request-local in the AnalysisManager.
+  /// (analysis::LoopGroup) carries raw pointers into one specific
+  /// ir::Program instance; two textually identical programs parsed by
+  /// two requests are distinct objects, and the first request's IR dies
+  /// with its arena — a shared pointer-carrying result would dangle (or
+  /// worse, silently alias the next request's IR at recycled
+  /// addresses). That kind stays strictly request-local in the
+  /// AnalysisManager.
   struct ProgramSlots {
     Ptr<std::vector<double>> Iterations;
     Ptr<analysis::SafetyInfo> Safety;
     Ptr<std::vector<bool>> LinAlg;
     Ptr<double> UniformPct;
   };
-  /// Per-(program, layout, geometry) slots. Same rule: Estimate,
-  /// Severe and the lattice predictions are strings and numbers only;
-  /// Reuse is excluded because it points back into the loop groups.
-  /// MachineLattice entries key on the hierarchy fingerprint plus
-  /// weights (AnalysisManager::makeKey's MachineModel overload), so
-  /// they never collide with single-geometry keys.
+  /// Per-(program, geometry, layout) slots. Same rule: Estimate,
+  /// Severe and Lattice are strings and numbers only. A multi-level
+  /// machine's lattice predictions live here one level at a time.
   struct LayoutSlots {
     Ptr<analysis::ProgramEstimate> Estimate;
     Ptr<std::vector<analysis::ConflictEntry>> Severe;
     Ptr<analysis::LatticePrediction> Lattice;
-    Ptr<analysis::MachinePrediction> MachineLattice;
   };
 
   explicit SharedAnalysisCache(size_t MaxLayoutEntries = 4096)
@@ -129,13 +120,13 @@ public:
   SharedAnalysisCache(const SharedAnalysisCache &) = delete;
   SharedAnalysisCache &operator=(const SharedAnalysisCache &) = delete;
 
-  /// \name Typed get/put, one pair per cached kind.
-  /// get returns nullptr on miss (counted); put publishes an immutable
-  /// result (never fails, last writer wins).
+  /// \name Typed get/put for program-level and layout-level slots.
+  /// get returns nullptr on miss (counted against \p Kind); put
+  /// publishes an immutable result (never fails, last writer wins).
   /// @{
   template <typename T>
   Ptr<T> getProgram(uint64_t FP, Ptr<T> ProgramSlots::*Slot,
-                    unsigned Kind) {
+                    AnalysisKind Kind) {
     Shard &S = programShard(FP);
     Ptr<T> R;
     {
@@ -163,7 +154,7 @@ public:
 
   template <typename T>
   Ptr<T> getLayout(uint64_t FP, const LayoutKey &Key,
-                   Ptr<T> LayoutSlots::*Slot, unsigned Kind) {
+                   Ptr<T> LayoutSlots::*Slot, AnalysisKind Kind) {
     Shard &S = layoutShard(FP, Key);
     Ptr<T> R;
     {
@@ -227,8 +218,8 @@ private:
     return Shards[hashKey(FP, Key) % kNumShards];
   }
 
-  void count(unsigned Kind, bool Hit) {
-    auto &C = Counters[Kind % Counters.size()];
+  void count(AnalysisKind Kind, bool Hit) {
+    auto &C = Counters[static_cast<unsigned>(Kind)];
     (Hit ? C.Hits : C.Misses).fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -239,7 +230,7 @@ private:
 
   size_t MaxLayoutEntries;
   std::array<Shard, kNumShards> Shards;
-  std::array<AtomicCounters, 10> Counters;
+  std::array<AtomicCounters, kNumAnalysisKinds> Counters;
   std::atomic<uint64_t> Evictions{0};
 };
 

@@ -106,30 +106,27 @@ CostSample SimulationCostModel::evaluate(
 }
 
 CostSample StaticCostModel::evaluate(const layout::DataLayout &DL) const {
-  if (!Machine.isSingleLevel()) {
-    auto SampleOf = [&](const analysis::MachinePrediction &MP) {
-      CostSample S;
-      S.Cost = MP.WeightedMisses;
-      S.LevelMisses.reserve(MP.Levels.size());
-      for (const analysis::MachineLevelPrediction &LP : MP.Levels) {
-        S.LevelMisses.push_back(LP.Prediction.PredictedMisses);
-        if (S.Accesses == 0 && !LP.IsTlb)
-          S.Accesses =
-              static_cast<uint64_t>(LP.Prediction.PredictedAccesses);
-      }
-      return S;
-    };
-    if (AM && &DL.program() == &AM->program())
-      return SampleOf(AM->machineLatticePrediction(DL, Machine));
-    return SampleOf(analysis::predictConflicts(DL, Machine));
+  const bool Memo = AM && &DL.program() == &AM->program();
+  std::vector<analysis::LoopGroup> Groups;
+  std::vector<double> Iterations;
+  if (!Memo) {
+    Groups = analysis::collectLoopGroups(DL.program());
+    Iterations = analysis::countGroupIterations(Groups);
   }
-  const CacheLevel &L1 = Machine.Levels.front();
-  auto SampleOf = [&](const analysis::LatticePrediction &E) {
-    return CostSample{L1.Weight * E.PredictedMisses,
-                      static_cast<uint64_t>(E.PredictedAccesses),
-                      {E.PredictedMisses}};
-  };
-  if (AM && &DL.program() == &AM->program())
-    return SampleOf(AM->latticePrediction(DL, L1.Geometry));
-  return SampleOf(analysis::predictConflicts(DL, L1.Geometry));
+  CostSample S;
+  S.LevelMisses.reserve(Machine.numLevels());
+  for (const CacheLevel &L : Machine.Levels) {
+    // Fold each level in before querying the next: a later query may
+    // sweep the manager's layout cache and take this entry with it.
+    std::optional<analysis::LatticePrediction> Local;
+    const analysis::LatticePrediction &P =
+        Memo ? AM->latticePrediction(DL, L.Geometry)
+             : Local.emplace(analysis::predictConflicts(DL, L.Geometry,
+                                                        Groups, Iterations));
+    S.Cost += L.Weight * P.PredictedMisses;
+    S.LevelMisses.push_back(P.PredictedMisses);
+    if (S.Accesses == 0 && !L.IsTlb)
+      S.Accesses = static_cast<uint64_t>(P.PredictedAccesses);
+  }
+  return S;
 }

@@ -96,10 +96,11 @@ private:
 /// manager is not thread-safe, so an attached model is not either — the
 /// search engine only ever calls it from the single-threaded generation
 /// side, never from the pool.
-/// On a multi-level machine the prediction runs per level (the
-/// manager's machine-lattice kind when attached) and Cost is
-/// MachinePrediction::WeightedMisses; a single-cache-level machine
-/// takes the one-geometry lattice path.
+/// Every machine takes one path: each level's prediction (the manager's
+/// memoized per-geometry entry when attached, read in place) adds
+/// Weight * PredictedMisses to Cost, so a one-level machine is just the
+/// one-iteration case, and one level's entry serves every machine that
+/// shares its geometry.
 class StaticCostModel {
 public:
   explicit StaticCostModel(const MachineModel &Machine,

@@ -43,7 +43,7 @@ struct RequestCtx {
   Clock::time_point Start;
   /// Chaos hook: injected deadline jitter shrinks the request's budget
   /// by up to 100 ms, forcing the deadline paths to fire under chaos
-  /// runs. Always 0 outside fault-injection builds.
+  /// runs. Always 0 unless fault injection is configured.
   double JitterMs;
 
   explicit RequestCtx(const Request &R, const ServerOptions &Opts)
@@ -349,17 +349,11 @@ std::string RequestHandler::dispatch(const Request &R) {
     JW.field("layout_entries", S.LayoutEntries);
     // The lattice predictor's own cross-request numbers, split out so
     // operators can watch the new tier warm up without diffing kind
-    // indices.
+    // indices. A multi-level "machine" counts once per level.
     const pipeline::SharedCacheCounters &LP = S.Kinds[static_cast<
         unsigned>(pipeline::AnalysisKind::LatticePrediction)];
     JW.field("lattice_hits", LP.Hits);
     JW.field("lattice_misses", LP.Misses);
-    // Hierarchy-keyed predictions (requests naming a multi-level
-    // "machine") warm a separate kind slot.
-    const pipeline::SharedCacheCounters &MP = S.Kinds[static_cast<
-        unsigned>(pipeline::AnalysisKind::MachineLatticePrediction)];
-    JW.field("machine_lattice_hits", MP.Hits);
-    JW.field("machine_lattice_misses", MP.Misses);
     JW.endObject();
     return B.finish();
   }

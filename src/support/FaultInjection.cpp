@@ -6,8 +6,13 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/ParseInteger.h"
+
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
 namespace padx {
 namespace support {
@@ -21,20 +26,17 @@ constexpr const char *kSiteNames[kNumSites] = {
     "recv_short",  "deadline_jitter",
 };
 
-bool parseDouble(std::string_view S, double &Out) {
-  std::string Tmp(S);
-  char *End = nullptr;
-  Out = std::strtod(Tmp.c_str(), &End);
-  return End && *End == '\0' && End != Tmp.c_str();
-}
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
-bool parseUint(std::string_view S, std::uint64_t &Out) {
-  if (S.empty())
-    return false;
-  std::string Tmp(S);
-  char *End = nullptr;
-  Out = std::strtoull(Tmp.c_str(), &End, 10);
-  return End && *End == '\0';
+/// All of \p S as a probability in [0, 1]. The negated range test also
+/// turns away NaN, which fails every comparison.
+std::optional<double> parseProbability(std::string_view S) {
+  double P = 0;
+  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), P);
+  if (Ec != std::errc() || End != S.data() + S.size() ||
+      !(P >= 0.0 && P <= 1.0))
+    return std::nullopt;
+  return P;
 }
 
 } // namespace
@@ -75,14 +77,18 @@ bool Config::parseSpec(std::string_view Spec, std::string *Error) {
 
     SiteConfig SC;
     if (!Value.empty() && Value.front() == '#') {
-      if (!parseUint(Value.substr(1), SC.FireFirst))
+      std::optional<std::uint64_t> N =
+          parseInteger<std::uint64_t>(Value.substr(1), 0, kMaxU64);
+      if (!N)
         return Fail("fault spec entry '" + std::string(Entry) +
                     "' has a bad count after '#'");
+      SC.FireFirst = *N;
     } else {
-      if (!parseDouble(Value, SC.Probability) || SC.Probability < 0.0 ||
-          SC.Probability > 1.0)
+      std::optional<double> P = parseProbability(Value);
+      if (!P)
         return Fail("fault spec entry '" + std::string(Entry) +
                     "' needs a probability in [0,1] or '#N'");
+      SC.Probability = *P;
     }
 
     if (Name == "*") {
@@ -105,8 +111,6 @@ bool Config::parseSpec(std::string_view Spec, std::string *Error) {
   }
   return true;
 }
-
-#if PADX_FAULT_INJECTION
 
 namespace {
 
@@ -153,13 +157,20 @@ bool configureFromEnv(std::string *Desc, std::string *Error) {
   if (!Spec || !*Spec)
     return false;
   Config C;
-  if (const char *SeedStr = std::getenv("PADX_FAULT_SEED")) {
-    std::uint64_t Seed = 0;
-    if (parseUint(SeedStr, Seed))
-      C.Seed = Seed;
-  }
   std::string Err;
-  if (!C.parseSpec(Spec, &Err)) {
+  const char *SeedStr = std::getenv("PADX_FAULT_SEED");
+  if (SeedStr && *SeedStr) {
+    std::optional<std::uint64_t> Seed =
+        parseInteger<std::uint64_t>(SeedStr, 0, kMaxU64);
+    if (!Seed)
+      Err = "PADX_FAULT_SEED takes an integer in [0, " +
+            std::to_string(kMaxU64) + "], got '" + SeedStr + "'";
+    else
+      C.Seed = *Seed;
+  }
+  if (Err.empty() && !C.parseSpec(Spec, &Err))
+    Err = "PADX_FAULT_SPEC: " + Err;
+  if (!Err.empty()) {
     if (Error)
       *Error = Err;
     return false;
@@ -210,8 +221,6 @@ std::uint64_t occurrences(Site S) {
 std::uint64_t fired(Site S) {
   return G.Fired[static_cast<unsigned>(S)].load(std::memory_order_relaxed);
 }
-
-#endif // PADX_FAULT_INJECTION
 
 } // namespace fault
 } // namespace support

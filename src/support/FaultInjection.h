@@ -12,11 +12,10 @@
 // reproducible from its seed: re-running with the same seed and the
 // same sequence of operations per site replays the same faults.
 //
-// The hooks compile to constant-false no-ops unless the build sets
-// -DPADX_FAULT_INJECTION=1 (CMake option PADX_FAULT_INJECTION, off by
-// default), so production builds pay nothing. Even when compiled in,
-// nothing fires until configure()/configureFromEnv() is called —
-// libraries never self-enable, only binaries and tests that opt in.
+// The hooks are compiled into every build, but nothing fires until
+// configure()/configureFromEnv() is called — libraries never
+// self-enable, only binaries and tests that opt in. A disabled hook
+// costs one atomic load.
 //
 // Thread-safety contract: fire()/value() are safe to call from any
 // number of threads. configure()/disable() must not race with them —
@@ -31,10 +30,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-
-#ifndef PADX_FAULT_INJECTION
-#define PADX_FAULT_INJECTION 0
-#endif
 
 namespace padx {
 namespace support {
@@ -65,7 +60,7 @@ const char *siteName(Site S);
 bool siteFromName(std::string_view Name, Site &Out);
 
 struct SiteConfig {
-  /// Per-occurrence probability in [0, 1].
+  /// Per-occurrence probability in [0, 1] (never NaN).
   double Probability = 0.0;
   /// Fire unconditionally for the first N occurrences (deterministic
   /// unit-test mode; applied before the probability roll).
@@ -78,16 +73,13 @@ struct Config {
 
   /// Parses a spec like "send_eintr=0.05,recv_short=0.2,arena_alloc=#3".
   /// `name=P` sets the probability; `name=#N` sets FireFirst; the name
-  /// `*` applies the value to every site. Returns false (and sets
-  /// *Error) on unknown names or out-of-range values. Parsed entries
+  /// `*` applies the value to every site. P must be a number in [0, 1]
+  /// and N an unsigned decimal integer, each with no leading space or
+  /// '+' and no trailing bytes. Returns false (and sets *Error) on
+  /// unknown names or malformed or out-of-range values. Parsed entries
   /// accumulate onto the current contents.
   bool parseSpec(std::string_view Spec, std::string *Error = nullptr);
 };
-
-#if PADX_FAULT_INJECTION
-
-/// True when the hooks are compiled into this build.
-constexpr bool compiledIn() { return true; }
 
 /// Installs \p C, resets all per-site counters, and enables injection.
 void configure(const Config &C);
@@ -99,12 +91,14 @@ void disable();
 /// True between configure() and disable().
 bool enabled();
 
-/// Reads PADX_FAULT_SPEC (required) and PADX_FAULT_SEED (optional,
-/// default 1) and calls configure(). Returns true if injection was
-/// enabled; on success *Desc receives a printable summary. A present
-/// but malformed spec returns false with *Error set (absent spec
-/// leaves it empty). Never called by library code — binaries opt in
-/// explicitly.
+/// Reads PADX_FAULT_SPEC (required) and PADX_FAULT_SEED (a whole
+/// unsigned decimal integer; 1 when unset or empty) and calls
+/// configure().
+/// Returns true if injection was enabled; on success *Desc receives a
+/// printable summary. With the spec present, a malformed spec or seed
+/// returns false with *Error set to a message naming the variable; an
+/// absent spec returns false and leaves *Error empty. Never called by
+/// library code — binaries opt in explicitly.
 bool configureFromEnv(std::string *Desc = nullptr,
                       std::string *Error = nullptr);
 
@@ -121,23 +115,6 @@ std::uint64_t occurrences(Site S);
 
 /// How many of those occurrences fired.
 std::uint64_t fired(Site S);
-
-#else
-
-constexpr bool compiledIn() { return false; }
-inline void configure(const Config &) {}
-inline void disable() {}
-inline bool enabled() { return false; }
-inline bool configureFromEnv(std::string * = nullptr,
-                             std::string * = nullptr) {
-  return false;
-}
-inline bool fire(Site) { return false; }
-inline std::uint64_t value(Site, std::uint64_t) { return 0; }
-inline std::uint64_t occurrences(Site) { return 0; }
-inline std::uint64_t fired(Site) { return 0; }
-
-#endif // PADX_FAULT_INJECTION
 
 /// RAII: installs a configuration for the current scope and disables
 /// injection on exit. The standard way for tests to use the hooks.

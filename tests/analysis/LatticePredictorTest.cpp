@@ -161,25 +161,42 @@ TEST(LatticePredictor, PairRowsSumToNestTotals) {
 }
 
 TEST(LatticePredictor, TotalsMatchMissEstimate) {
-  // The predictor's access and miss totals are the estimator's by
-  // construction; only the conflict attribution is new. Keeping them
-  // bit-for-bit comparable means StaticCostModel's switch to the
-  // predictor cannot have changed any search ranking.
-  for (const char *Name : {"jacobi", "dgefa", "irr", "dot"}) {
-    ir::Program P = kernels::makeKernel(Name);
-    for (bool Pad : {false, true}) {
-      layout::DataLayout DL = Pad ? pad::runPad(P, kBase).Layout
-                                  : layout::originalLayout(P);
-      LatticePrediction E = predictConflicts(DL, kBase);
-      ProgramEstimate M = estimateMisses(DL, kBase);
-      EXPECT_NEAR(E.PredictedAccesses, M.PredictedAccesses,
-                  1e-9 * (1.0 + M.PredictedAccesses))
-          << Name;
-      EXPECT_NEAR(E.PredictedMisses, M.PredictedMisses,
-                  1e-6 * (1.0 + M.PredictedMisses))
-          << Name;
+  // On a direct-mapped cache the predictor's access and miss totals are
+  // the estimator's: only the conflict attribution is new. Pinned over
+  // every corpus kernel, on both direct-mapped geometries, for the
+  // original, PAD and PADLITE layouts.
+  const CacheConfig Geometries[] = {kBase, CacheConfig{64 * 1024, 64, 1}};
+  for (const kernels::KernelInfo &K : kernels::allKernels()) {
+    ir::Program P = kernels::makeKernel(K.Name);
+    for (const CacheConfig &C : Geometries) {
+      const layout::DataLayout Layouts[] = {layout::originalLayout(P),
+                                            pad::runPad(P, C).Layout,
+                                            pad::runPadLite(P, C).Layout};
+      for (const layout::DataLayout &DL : Layouts) {
+        LatticePrediction E = predictConflicts(DL, C);
+        ProgramEstimate M = estimateMisses(DL, C);
+        EXPECT_NEAR(E.PredictedAccesses, M.PredictedAccesses,
+                    1e-9 * (1.0 + M.PredictedAccesses))
+            << K.Name << " on " << C.SizeBytes;
+        EXPECT_NEAR(E.PredictedMisses, M.PredictedMisses,
+                    1e-6 * (1.0 + M.PredictedMisses))
+            << K.Name << " on " << C.SizeBytes;
+      }
     }
   }
+}
+
+TEST(LatticePredictor, SetAssociativeTotalsDivergeFromMissEstimate) {
+  // Off direct-mapped caches the two models part. MissEstimate charges
+  // every reference of a severe pair a full miss per iteration whatever
+  // the associativity; the lattice lets the pair share a 2-way set and
+  // charges only the spatial floor. Lint's conflict-pair severity reads
+  // MissEstimate, so replacing it with the predictor changes findings.
+  ir::Program P = kernels::makeKernel("dot");
+  layout::DataLayout DL = layout::originalLayout(P);
+  const CacheConfig TwoWay{16 * 1024, 32, 2};
+  EXPECT_EQ(estimateMisses(DL, TwoWay).PredictedMisses, 32768.0);
+  EXPECT_EQ(predictConflicts(DL, TwoWay).PredictedMisses, 8192.0);
 }
 
 TEST(LatticePredictor, PaddingRemovesPredictedConflicts) {

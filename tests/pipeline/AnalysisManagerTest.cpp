@@ -10,8 +10,10 @@
 /// fingerprint, so mutating a layout mid-session recomputes exactly the
 /// stale results while the layout-independent analyses stay cached;
 /// explicit invalidation drops only the layout side; with the cache
-/// disabled every query recomputes. Every cached answer is checked
-/// bit-identical to the direct analysis call it memoizes.
+/// disabled every query recomputes; a multi-level machine's static score
+/// reuses single-geometry lattice predictions level by level. Every
+/// cached answer is checked bit-identical to the direct analysis call it
+/// memoizes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,8 @@
 #include "analysis/MissEstimate.h"
 #include "kernels/Kernels.h"
 #include "layout/DataLayout.h"
+#include "pipeline/SharedAnalysisCache.h"
+#include "search/CostModel.h"
 
 #include "gtest/gtest.h"
 
@@ -186,4 +190,36 @@ TEST(AnalysisManager, LayoutCacheOverflowSweepsAndStaysCorrect) {
   }
   EXPECT_GT(AM.stats().of(AnalysisKind::MissEstimate).Invalidated, 0u);
   EXPECT_EQ(AM.stats().of(AnalysisKind::ReferenceGroups).Misses, 1u);
+}
+
+// The static cost model reads a machine's prediction one level at a
+// time, so paper-l2's L1 (the base16k geometry) is the very entry a
+// base16k query of the same layout left behind: a local hit in one
+// manager, and a shared hit in another manager on the same shared cache.
+TEST(AnalysisManager, MachineLevelReusesSingleGeometryPrediction) {
+  ir::Program P = kernels::makeKernel("jacobi");
+  layout::DataLayout DL = layout::originalLayout(P);
+  const MachineModel L2 = MachineModel::paperL2();
+  ASSERT_EQ(L2.Levels.front().Geometry, kCache);
+
+  AnalysisManager AM(P);
+  AM.latticePrediction(DL, kCache);
+  search::StaticCostModel(L2, &AM).evaluate(DL);
+  const AnalysisCounters &Local =
+      AM.stats().of(AnalysisKind::LatticePrediction);
+  EXPECT_EQ(Local.Hits, 1u) << "the L1 level must reuse the base16k entry";
+  EXPECT_EQ(Local.Misses, 2u) << "base16k, then paper-l2's L2";
+
+  SharedAnalysisCache Shared;
+  AnalysisManager Warm(P);
+  Warm.attachSharedCache(&Shared);
+  Warm.latticePrediction(DL, kCache);
+  AnalysisManager Served(P);
+  Served.attachSharedCache(&Shared);
+  search::StaticCostModel(L2, &Served).evaluate(DL);
+  const AnalysisCounters &Across =
+      Served.stats().of(AnalysisKind::LatticePrediction);
+  EXPECT_EQ(Across.SharedHits, 1u)
+      << "the L1 level must be served from the shared cache";
+  EXPECT_EQ(Across.Misses, 1u);
 }

@@ -14,10 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "search/SearchEngine.h"
+#include "analysis/LatticePredictor.h"
 
 #include "core/Padding.h"
 #include "frontend/Parser.h"
 #include "kernels/Kernels.h"
+#include "pipeline/AnalysisManager.h"
 #include "search/Candidate.h"
 #include "search/CandidateGenerator.h"
 #include "search/CostModel.h"
@@ -149,6 +151,46 @@ TEST(CostModel, BothModelsPreferPadOverOriginalOnExpl) {
   search::StaticCostModel Static(MachineModel::singleLevel(Cache));
   EXPECT_LT(Exact.evaluate(Pad).Cost, Exact.evaluate(Orig).Cost);
   EXPECT_LT(Static.evaluate(Pad).Cost, Static.evaluate(Orig).Cost);
+}
+
+// The static model scores every machine through one loop over its
+// levels. Memoized (first query and hit) and un-memoized evaluations
+// must equal the weighted sum of per-level predictions exactly, and that
+// sum must equal the whole-machine prediction's aggregate.
+TEST(CostModel, StaticEvaluationIsTheWeightedSumOfLevelPredictions) {
+  for (const MachineModel &M :
+       {MachineModel::base16K(), MachineModel::paperL2()}) {
+    for (const kernels::KernelInfo &K : kernels::allKernels()) {
+      ir::Program P = kernels::makeKernel(K.Name);
+      const layout::DataLayout Layouts[] = {
+          layout::originalLayout(P),
+          pad::applyPadding(P, M, pad::PaddingScheme::pad()).Layout};
+      pipeline::AnalysisManager AM(P);
+      search::StaticCostModel Memo(M, &AM), Plain(M);
+      for (const layout::DataLayout &DL : Layouts) {
+        search::CostSample Want;
+        for (const CacheLevel &L : M.Levels) {
+          analysis::LatticePrediction LP =
+              analysis::predictConflicts(DL, L.Geometry);
+          Want.Cost += L.Weight * LP.PredictedMisses;
+          Want.LevelMisses.push_back(LP.PredictedMisses);
+          if (Want.Accesses == 0 && !L.IsTlb)
+            Want.Accesses = static_cast<uint64_t>(LP.PredictedAccesses);
+        }
+        EXPECT_EQ(Want.Cost,
+                  analysis::predictConflicts(DL, M).WeightedMisses)
+            << K.Name << " on " << M.spec();
+        for (const search::CostSample &Got :
+             {Memo.evaluate(DL), Memo.evaluate(DL), Plain.evaluate(DL)}) {
+          EXPECT_EQ(Got.Cost, Want.Cost) << K.Name << " on " << M.spec();
+          EXPECT_EQ(Got.Accesses, Want.Accesses)
+              << K.Name << " on " << M.spec();
+          EXPECT_EQ(Got.LevelMisses, Want.LevelMisses)
+              << K.Name << " on " << M.spec();
+        }
+      }
+    }
+  }
 }
 
 TEST(CostModel, SimulationCountsEveryAccess) {

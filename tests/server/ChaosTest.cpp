@@ -21,8 +21,8 @@
 ///
 /// The fault seed comes from PADX_FAULT_SEED (default 1) and is logged
 /// on entry, so any failure replays exactly: same seed, same faults.
-/// ci.sh runs this suite under ASan and TSan with three fixed seeds.
-/// In builds without PADX_FAULT_INJECTION the suite skips.
+/// ci.sh runs this suite under ASan and TSan with three fixed seeds;
+/// tier-1 runs it at the default seed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -156,10 +156,6 @@ bool isTaxonomyCode(const std::string &Code) {
 } // namespace
 
 TEST(Chaos, CorpusSweepUnderInjectedFaults) {
-  if (!support::fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION "
-                    "(-DPADX_FAULT_INJECTION=ON)";
-
   const std::uint64_t Seed = chaosSeed();
   std::printf("ChaosTest: PADX_FAULT_SEED=%llu (replay failures with "
               "this seed)\n",
@@ -279,10 +275,6 @@ TEST(Chaos, CorpusSweepUnderInjectedFaults) {
 }
 
 TEST(Chaos, DrainUnderInjectedFaultsAnswersEverything) {
-  if (!support::fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION "
-                    "(-DPADX_FAULT_INJECTION=ON)";
-
   const std::uint64_t Seed = chaosSeed();
   Watchdog Dog(/*Seconds=*/120);
 

@@ -458,8 +458,8 @@ TEST(Protocol, StatsOpReportsPredictorUnscored) {
   EXPECT_GE(Req->getInt("predictor_unscored", -1), 0);
   const support::JsonValue *SC = Res->find("shared_cache");
   ASSERT_NE(SC, nullptr);
-  EXPECT_GE(SC->getInt("machine_lattice_hits", -1), 0);
-  EXPECT_GE(SC->getInt("machine_lattice_misses", -1), 0);
+  EXPECT_GE(SC->getInt("lattice_hits", -1), 0);
+  EXPECT_GE(SC->getInt("lattice_misses", -1), 0);
 }
 
 //===----------------------------------------------------------------------===//

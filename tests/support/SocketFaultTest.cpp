@@ -10,7 +10,7 @@
 /// corrupting or reordering bytes; LineReader must reassemble frames
 /// across short reads and retried syscalls; hard errors must surface
 /// as errors, not hangs. The poll-gated readLine timeout is covered
-/// without fault hooks, so it runs in every build.
+/// without fault hooks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,8 +97,6 @@ TEST(SocketFault, ShutdownReadUnblocksReaderButKeepsWrites) {
 }
 
 TEST(SocketFault, SendAllSurvivesShortWritesBitExactly) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   SocketPair P;
   ASSERT_TRUE(P.A.valid());
 
@@ -126,8 +124,6 @@ TEST(SocketFault, SendAllSurvivesShortWritesBitExactly) {
 }
 
 TEST(SocketFault, SendAllRetriesEintr) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   SocketPair P;
   ASSERT_TRUE(P.A.valid());
   fault::Config C;
@@ -144,8 +140,6 @@ TEST(SocketFault, SendAllRetriesEintr) {
 }
 
 TEST(SocketFault, SendAllReportsHardErrors) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   SocketPair P;
   ASSERT_TRUE(P.A.valid());
   fault::Config C;
@@ -157,8 +151,6 @@ TEST(SocketFault, SendAllReportsHardErrors) {
 }
 
 TEST(SocketFault, LineReaderReassemblesAcrossShortReads) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   SocketPair P;
   ASSERT_TRUE(P.A.valid());
   // Longer than any single (short or full) 4 KiB read can deliver, so
@@ -180,8 +172,6 @@ TEST(SocketFault, LineReaderReassemblesAcrossShortReads) {
 }
 
 TEST(SocketFault, LineReaderRetriesEintrAndEagain) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   SocketPair P;
   ASSERT_TRUE(P.A.valid());
   std::string Err;
@@ -199,8 +189,6 @@ TEST(SocketFault, LineReaderRetriesEintrAndEagain) {
 }
 
 TEST(SocketFault, LineReaderReportsHardReadErrors) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   SocketPair P;
   ASSERT_TRUE(P.A.valid());
   fault::Config C;
@@ -213,8 +201,6 @@ TEST(SocketFault, LineReaderReportsHardReadErrors) {
 }
 
 TEST(SocketFault, ConnectFailureIsInjectable) {
-  if (!fault::compiledIn())
-    GTEST_SKIP() << "build without PADX_FAULT_INJECTION";
   fault::Config C;
   ASSERT_TRUE(C.parseSpec("connect_error=#1"));
   fault::ScopedFaultConfig Scope(C);
