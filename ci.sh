@@ -180,11 +180,11 @@ if command -v jq > /dev/null 2>&1; then
            .hits >= 0 and .misses >= 0 and .invalidated >= 0 and
            (.kinds | all(.hits >= 0 and .misses >= 0))' \
       "$s" > /dev/null
-    # The eight memoized kinds, one row each, in AnalysisKind order.
+    # The seven memoized kinds, one row each, in AnalysisKind order.
     jq -e '[.pipeline.analysis_cache.kinds[].name] ==
            ["reference-groups", "iteration-counts", "safety",
             "linear-algebra", "uniform-refs", "conflict-report",
-            "miss-estimate", "lattice-prediction"]' \
+            "lattice-prediction"]' \
       "$s" > /dev/null
   done
 else

@@ -51,7 +51,6 @@
 #include "lint/Output.h"
 #include "lint/Rule.h"
 #include "pipeline/PadPipeline.h"
-#include "support/MathExtras.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -86,17 +85,6 @@ void usage() {
       "               [--list-rules] <file.pad>...\n"
       "exit codes: 0 clean, 1 findings, 2 usage/input error, "
       "3 internal error\n");
-}
-
-bool validGeometry(const CacheConfig &C) {
-  if (!isPowerOf2(C.SizeBytes) || !isPowerOf2(C.LineBytes) ||
-      C.Associativity < 0 || C.LineBytes > C.SizeBytes)
-    return false;
-  if (C.Associativity > 1 &&
-      (!isPowerOf2(C.Associativity) ||
-       C.Associativity * C.LineBytes > C.SizeBytes))
-    return false;
-  return C.isValid();
 }
 
 /// One linted input, kept alive together: the program owns what the
@@ -185,7 +173,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (!validGeometry(Cache)) {
+  if (!Cache.isValid()) {
     std::fprintf(stderr, "error: invalid cache geometry (--cache/--line "
                          "powers of two, --assoc a power of two that "
                          "fits)\n");

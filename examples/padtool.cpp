@@ -38,7 +38,7 @@
 ///   --emit          print the transformed PadLang source
 ///   --simulate      run the cache simulator on both layouts
 ///   --report        print the severe-conflict pairs before and after
-///   --estimate      print the static miss-rate prediction (no simulation)
+///   --estimate      print the lattice-predicted miss rates (no simulation)
 ///   --stats         print per-pass timings and analysis-cache counters
 ///   --stats-json F  write the pipeline stats as JSON to F ('-' = stdout)
 ///   --list          list built-in kernels and exit
@@ -49,7 +49,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ConflictReport.h"
-#include "analysis/MissEstimate.h"
 #include "core/Padding.h"
 #include "exec/TraceRunner.h"
 #include "experiments/Experiment.h"
@@ -133,7 +132,7 @@ bool validateGeometry(const CacheConfig &Cache, DiagnosticEngine &Diags) {
   if (Cache.Associativity > 1) {
     if (!isPowerOf2(Cache.Associativity))
       Fail("--assoc must be a power of two", Cache.Associativity);
-    else if (Cache.Associativity * Cache.LineBytes > Cache.SizeBytes)
+    else if (Cache.Associativity > Cache.SizeBytes / Cache.LineBytes)
       Fail("--assoc * --line exceeds --cache; no such geometry exists",
            Cache.Associativity);
   }
@@ -481,8 +480,8 @@ int main(int argc, char **argv) {
     ReportConflicts(*Final, "after padding");
 
   if (Estimate) {
-    // Through the manager: on a PAD run the padded layout's estimate is
-    // often a cache hit (the heuristics already asked for it).
+    // The lattice predictor, queried through the manager so that
+    // --stats counts it.
     layout::DataLayout Orig = layout::originalLayout(*P);
     if (Multi) {
       for (unsigned I = 0; I != Machine.numLevels(); ++I) {
@@ -490,10 +489,10 @@ int main(int argc, char **argv) {
         if (L.IsTlb)
           continue;
         double Before = PP.analysis()
-                            .missEstimate(Orig, L.Geometry)
+                            .latticePrediction(Orig, L.Geometry)
                             .predictedMissRatePercent();
         double After = PP.analysis()
-                           .missEstimate(*Final, L.Geometry)
+                           .latticePrediction(*Final, L.Geometry)
                            .predictedMissRatePercent();
         std::printf("  predicted miss rate (%s): %.2f%% -> %.2f%% "
                     "(static estimate)\n",
@@ -501,10 +500,10 @@ int main(int argc, char **argv) {
       }
     } else {
       double Before = PP.analysis()
-                          .missEstimate(Orig, Cache)
+                          .latticePrediction(Orig, Cache)
                           .predictedMissRatePercent();
       double After = PP.analysis()
-                         .missEstimate(*Final, Cache)
+                         .latticePrediction(*Final, Cache)
                          .predictedMissRatePercent();
       std::printf("  predicted miss rate: %.2f%% -> %.2f%% (static "
                   "estimate)\n",

@@ -7,7 +7,6 @@
 #include "analysis/LatticePredictor.h"
 
 #include "analysis/ConflictDistance.h"
-#include "analysis/MissEstimate.h"
 #include "analysis/PadConditions.h"
 #include "analysis/Reuse.h"
 
@@ -204,9 +203,11 @@ analysis::predictConflicts(const layout::DataLayout &DL,
       if (P.array(R.ArrayId).isScalar())
         continue; // register-promoted, as in the trace generator
       if (RR.Unanalyzable) {
-        // Indirect reference: sequential index read plus an effectively
-        // random target access (same charge as MissEstimate); it never
-        // joins a cluster — its difference lattice is not constant.
+        // Indirect reference: one sequential index-array read plus an
+        // effectively random target access, which misses with
+        // probability ~ (target footprint / cache) once the target is
+        // warm. It never joins a cluster: its difference lattice is not
+        // constant.
         double Footprint =
             static_cast<double>(DL.sizeBytes(R.ArrayId));
         double TargetMiss = std::min(

@@ -5,8 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Analytic conflict-miss prediction via the cache-associativity
-/// lattice. Two addresses contend for the same cache set exactly when
+/// padx's static miss model: the "simplified cache miss equations" the
+/// paper uses to spot severe conflicts, with the conflict term computed
+/// on the cache-associativity lattice. Each nest's reuse classes
+/// (Reuse.h) set a floor of base misses per iteration, and the lattice
+/// adds what conflicts cost on top of it.
+///
+/// Two addresses contend for the same cache set exactly when
 /// their difference lies within one line of the set-mapping lattice
 /// Lambda = waySpanBytes * Z (waySpanBytes = SizeBytes / Associativity;
 /// the whole cache for a direct-mapped one). For every uniform reference
@@ -67,7 +72,7 @@ struct PairConflict {
   double PredictedConflictMisses = 0;
 };
 
-/// Per-nest breakdown, aligned with the reuse model's LoopEstimate.
+/// Per-nest breakdown, one per loop group in collectLoopGroups order.
 struct NestPrediction {
   std::string LoopVar;
   double Iterations = 0;
@@ -77,7 +82,8 @@ struct NestPrediction {
   double BaseMissesPerIteration = 0;
   /// Lattice-attributed extra misses/iteration on top of the floor.
   double ConflictMissesPerIteration = 0;
-  /// True when some collision cluster overflows its cache set.
+  /// True when some collision cluster overflows its cache set. Lint's
+  /// conflict-pair rule takes its severity from the thrashing nests.
   bool Thrashing = false;
   /// True when the nest could not be scored because its iteration count
   /// came out zero, so every per-nest number above is zero as "no
@@ -93,8 +99,8 @@ struct LatticePrediction {
   std::vector<NestPrediction> Nests;
   std::vector<PairConflict> Pairs;
   double PredictedAccesses = 0;
-  /// Total predicted misses (base + conflict); on direct-mapped caches
-  /// identical to MissEstimate's total, by construction.
+  /// Total predicted misses: base plus conflict, summed over nests of
+  /// Iterations * (BaseMissesPerIteration + ConflictMissesPerIteration).
   double PredictedMisses = 0;
   /// The conflict component alone — comparable to the simulator's
   /// classified conflict misses (sim::MissBreakdown::Conflict).

@@ -51,6 +51,19 @@ struct LoopGroup {
 /// severe conflicts; they are not grouped.
 std::vector<LoopGroup> collectLoopGroups(const ir::Program &P);
 
+/// Body executions of every group's innermost loop, aligned with
+/// \p Groups. The outer loops are enumerated exactly and the innermost
+/// trip count, a closed form of its affine bounds, is summed over them,
+/// so triangular nests count exactly. Past 10M enumerated outer
+/// iterations the rest of a nest falls back to a midpoint product: each
+/// remaining outer loop contributes its trip count, with its index fixed
+/// at the midpoint of its range for the loops inside it. Depends only on
+/// the program (trip counts never involve a base address or a padded
+/// dimension), so a pipeline::AnalysisManager computes this once per
+/// program and reuses it across layouts.
+std::vector<double>
+countGroupIterations(const std::vector<LoopGroup> &Groups);
+
 } // namespace analysis
 } // namespace padx
 

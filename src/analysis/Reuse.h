@@ -17,8 +17,8 @@
 ///     reference of its group at distance zero / within one line, so the
 ///     leader pays the misses.
 ///
-/// This classification is the basis of the static miss estimator
-/// (MissEstimate.h), the "simplified cache miss equations" the paper
+/// This classification sets the base misses of the static miss model
+/// (LatticePredictor.h), the "simplified cache miss equations" the paper
 /// uses to reason about when large numbers of conflict misses occur.
 ///
 //===----------------------------------------------------------------------===//
@@ -52,7 +52,7 @@ struct RefReuse {
   bool GroupTemporal = false;
   bool GroupSpatial = false;
   /// True for indirect or non-affine-stride references the analysis
-  /// cannot classify (treated pessimistically by the estimator).
+  /// cannot classify (treated pessimistically by the miss model).
   bool Unanalyzable = false;
 };
 

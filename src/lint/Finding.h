@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Lint findings: a source-anchored defect report produced by one lint
-/// rule, carrying a severity derived from the static miss estimate, a
+/// rule, carrying a severity derived from the lattice predictor, a
 /// stable fingerprint key for baseline suppression, and — where the
 /// implied transformation is safe — a concrete machine-applicable fix-it
 /// (an intra-variable pad or an inter-variable gap). Findings are what

@@ -7,7 +7,6 @@
 #include "lint/Linter.h"
 
 #include "analysis/LinearAlgebra.h"
-#include "analysis/MissEstimate.h"
 #include "analysis/ReferenceGroups.h"
 #include "analysis/Safety.h"
 #include "lint/Rule.h"
@@ -77,13 +76,10 @@ LintResult Linter::run(const layout::DataLayout &DL,
     if (L.IsTlb || L.Geometry.Associativity == 0)
       continue;
     const CacheConfig &Cache = L.Geometry;
-    const analysis::ProgramEstimate &Estimate =
-        AM.missEstimate(DL, Cache);
     const analysis::LatticePrediction &Prediction =
         AM.latticePrediction(DL, Cache);
 
-    LintContext Ctx{DL,     Cache,    Safety,  LinAlg,
-                    Groups, Estimate, Prediction};
+    LintContext Ctx{DL, Cache, Safety, LinAlg, Groups, Prediction};
     std::vector<Finding> LevelFindings;
     for (const Rule *R : allRules())
       PP.run("lint:" + std::string(R->id()),

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The lint pass manager: precomputes the shared analysis context
-/// (safety, linear-algebra flags, loop groups, miss estimate), runs every
-/// registered rule in order, and returns findings ranked most severe
-/// first. A fully associative cache cannot produce conflict misses, so
-/// linting one yields no findings by definition.
+/// (safety, linear-algebra flags, loop groups, lattice prediction), runs
+/// every registered rule in order, and returns findings ranked most
+/// severe first. A fully associative cache cannot produce conflict
+/// misses, so linting one yields no findings by definition.
 ///
 /// applyFix() turns a finding's fix-it into a concrete layout, which is
 /// how the validation tests close the loop: lint, fix, re-lint, and the

@@ -18,7 +18,6 @@
 #define PADX_LINT_RULE_H
 
 #include "analysis/LatticePredictor.h"
-#include "analysis/MissEstimate.h"
 #include "analysis/ReferenceGroups.h"
 #include "analysis/Safety.h"
 #include "layout/DataLayout.h"
@@ -42,11 +41,9 @@ struct LintContext {
   /// gates LinPad2, so stencil arrays are not flagged speculatively.
   const std::vector<bool> &LinAlgArrays;
   const std::vector<analysis::LoopGroup> &Groups;
-  /// Static miss estimate of this layout; rules derive Error vs Warning
-  /// from the predicted impact of the loop a conflict lives in.
-  const analysis::ProgramEstimate &Estimate;
-  /// Analytic lattice prediction of this layout; the predicted-
-  /// conflict-volume rule ranks array pairs by it.
+  /// The static miss model's prediction for this layout. conflict-pair
+  /// takes Error vs Warning from the thrashing nests of the conflict's
+  /// loop; predicted-conflict-volume ranks array pairs by it.
   const analysis::LatticePrediction &Prediction;
 
   const ir::Program &program() const { return DL.program(); }

@@ -83,16 +83,19 @@ std::string renderRef(const ir::Program &P, const ir::ArrayRef &R) {
 }
 
 /// Severity of a conflict living in loop(s) named \p LoopVar: Error when
-/// the static estimate attributes at least a quarter of all predicted
-/// accesses to misses in those loops (the conflict dominates the
-/// program), Warning otherwise.
+/// the predicted misses of the thrashing nests over those loops reach a
+/// quarter of all predicted accesses (the conflict dominates the
+/// program), Warning otherwise. A pair that shares a set without
+/// overflowing it thrashes nothing, so on a set-associative level it
+/// stays a Warning.
 Severity severityForLoop(const LintContext &Ctx,
                          const std::string &LoopVar) {
   double Attributed = 0;
-  for (const analysis::LoopEstimate &L : Ctx.Estimate.Loops)
-    if (L.LoopVar == LoopVar && L.HasSevereConflict)
-      Attributed += L.Iterations * L.MissesPerIteration;
-  double Total = Ctx.Estimate.PredictedAccesses;
+  for (const analysis::NestPrediction &N : Ctx.Prediction.Nests)
+    if (N.LoopVar == LoopVar && N.Thrashing)
+      Attributed += N.Iterations * (N.BaseMissesPerIteration +
+                                    N.ConflictMissesPerIteration);
+  double Total = Ctx.Prediction.PredictedAccesses;
   return (Total > 0 && Attributed / Total >= 0.25) ? Severity::Error
                                                    : Severity::Warning;
 }

@@ -23,7 +23,8 @@ bool CacheConfig::isValid() const {
     int64_t Ways = Associativity;
     if (!isPowerOf2(Ways))
       return false;
-    if (Ways * LineBytes > SizeBytes)
+    // Ways * LineBytes can overflow; both are powers of two, so divide.
+    if (Ways > SizeBytes / LineBytes)
       return false;
   }
   return true;

@@ -6,6 +6,8 @@
 
 #include "machine/MachineModel.h"
 
+#include "support/Guard.h"
+
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -102,8 +104,7 @@ bool parseSize(std::string_view Text, int64_t &Out, bool AllowSuffix) {
     if (V > (int64_t(1) << 40))
       return false;
   }
-  Out = V * Mult;
-  return Out > 0;
+  return !mulOverflow(V, Mult, Out) && Out > 0;
 }
 
 bool parseAssoc(std::string_view Text, int &Out) {
@@ -179,7 +180,12 @@ bool MachineModel::parse(std::string_view Text, MachineModel &Out,
       return fail(Error, "level '" + Name + "': bad associativity '" +
                              std::string(Fields[2]) + "'");
     CacheConfig G;
-    G.SizeBytes = IsTlb ? First * Line : First;
+    G.SizeBytes = First;
+    if (IsTlb && mulOverflow(First, Line, G.SizeBytes))
+      return fail(Error, "level " + Name + " has invalid geometry (" +
+                             std::string(Fields[0]) + " entries of " +
+                             std::string(Fields[1]) +
+                             " pages overflow a 64-bit size)");
     G.LineBytes = Line;
     G.Associativity = Assoc;
     M.Levels.push_back(CacheLevel(
@@ -258,6 +264,9 @@ bool MachineModel::isValid(std::string *Why) const {
   for (unsigned I = 0; I < Levels.size(); ++I) {
     const CacheLevel &L = Levels[I];
     std::string Name = levelName(I);
+    for (unsigned J = 0; J < I; ++J)
+      if (levelName(J) == Name)
+        return Bad("two levels are named " + Name);
     if (!L.Geometry.isValid())
       return Bad("level " + Name + " has invalid geometry (" +
                  L.Geometry.describe() + ")");

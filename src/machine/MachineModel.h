@@ -121,9 +121,10 @@ struct MachineModel {
                            const CacheConfig &Fallback, MachineModel &Out,
                            std::string *Error = nullptr);
 
-  /// Structural validity: 1..kMaxLevels levels, every geometry valid, at
-  /// least one non-TLB level, at most one TLB, cache capacities and line
-  /// sizes non-decreasing outward, weights finite and non-negative.
+  /// Structural validity: 1..kMaxLevels levels with distinct effective
+  /// names, every geometry valid, at least one non-TLB level, at most one
+  /// TLB, cache capacities and line sizes non-decreasing outward, weights
+  /// finite and non-negative.
   bool isValid(std::string *Why = nullptr) const;
 
   /// True for the degenerate hierarchy the old single-geometry API maps

@@ -32,8 +32,6 @@ const char *pipeline::analysisKindName(AnalysisKind K) {
     return "uniform-refs";
   case AnalysisKind::ConflictReport:
     return "conflict-report";
-  case AnalysisKind::MissEstimate:
-    return "miss-estimate";
   case AnalysisKind::LatticePrediction:
     return "lattice-prediction";
   }
@@ -225,19 +223,6 @@ AnalysisManager::layoutEntryLocked(const LayoutKey &Key) {
 // The layout-keyed computations below query only program-level kinds,
 // which never touch the layout map, so the entry they fill stays put.
 
-const analysis::ProgramEstimate &
-AnalysisManager::missEstimate(const layout::DataLayout &DL,
-                              const CacheConfig &Cache) {
-  std::lock_guard<std::mutex> L(M);
-  const LayoutKey Key = makeKey(DL, Cache);
-  return memo(AnalysisKind::MissEstimate, layoutEntryLocked(Key).Estimate,
-              &Key, &SharedAnalysisCache::LayoutSlots::Estimate, [&] {
-                const auto &G = referenceGroupsLocked();
-                return analysis::estimateMisses(DL, Cache, G,
-                                                iterationCountsLocked());
-              });
-}
-
 const std::vector<analysis::ConflictEntry> &
 AnalysisManager::severeConflicts(const layout::DataLayout &DL,
                                  const CacheConfig &Cache) {
@@ -285,12 +270,19 @@ AnalysisManager::machineLatticePrediction(const layout::DataLayout &DL,
   return analysis::predictConflicts(DL, Machine, G, iterationCountsLocked());
 }
 
+analysis::LatticePrediction
+AnalysisManager::missEstimate(const layout::DataLayout &DL,
+                              const CacheConfig &Cache) {
+  std::lock_guard<std::mutex> L(M);
+  const auto &G = referenceGroupsLocked();
+  return analysis::predictConflicts(DL, Cache, G, iterationCountsLocked());
+}
+
 void AnalysisManager::invalidateLayoutResultsLocked() {
   auto Drop = [&](AnalysisKind K, bool Held) {
     Stats.Kinds[static_cast<unsigned>(K)].Invalidated += Held;
   };
   for (const auto &[Key, E] : LayoutCache) {
-    Drop(AnalysisKind::MissEstimate, E.Estimate.has_value());
     Drop(AnalysisKind::ConflictReport, E.Severe.has_value());
     Drop(AnalysisKind::LatticePrediction, E.Lattice.has_value());
   }

@@ -8,14 +8,14 @@
 /// A memoizing manager for the analyses every padx consumer runs. Before
 /// it existed, core/Padding, lint/Linter, search/CostModel and the
 /// experiment harness each re-derived reference groups, safety flags and
-/// miss estimates from scratch per call — the search engine recomputed
+/// conflict reports from scratch per call — the search engine recomputed
 /// layout-independent analyses once per *candidate*. The manager caches:
 ///
 ///  - program-level results (reference groups, iteration counts, safety,
 ///    linear-algebra flags, uniform-reference percentage), computed once
 ///    per program — no layout or cache geometry involved;
-///  - layout-dependent results (miss estimate, severe-conflict report,
-///    lattice prediction), keyed by a fingerprint of (cache geometry,
+///  - layout-dependent results (severe-conflict report, lattice
+///    prediction), keyed by a fingerprint of (cache geometry,
 ///    base addresses, padded dimensions). A multi-level machine is
 ///    queried one level at a time, so one level's entry serves every
 ///    machine that has that level's geometry.
@@ -25,8 +25,8 @@
 /// SharedAnalysisCache is attached and the kind is value-only), else a
 /// timed computation that is published back to the shared cache. A
 /// kind's Seconds is its self time: a computation that queries another
-/// kind (the miss estimate needs the iteration counts) is not charged
-/// for the nested one.
+/// kind (the lattice prediction needs the iteration counts) is not
+/// charged for the nested one.
 ///
 /// Invalidation contract (DESIGN.md section 11): the manager never
 /// observes layout mutation. A caller that mutates a DataLayout in place
@@ -72,7 +72,6 @@
 
 #include "analysis/ConflictReport.h"
 #include "analysis/LatticePredictor.h"
-#include "analysis/MissEstimate.h"
 #include "analysis/ReferenceGroups.h"
 #include "analysis/Reuse.h"
 #include "analysis/Safety.h"
@@ -99,7 +98,6 @@ enum class AnalysisKind : unsigned {
   LinearAlgebra,
   UniformRefs,
   ConflictReport,
-  MissEstimate,
   LatticePrediction, ///< Keep last: it sizes kNumAnalysisKinds.
 };
 inline constexpr unsigned kNumAnalysisKinds =
@@ -174,25 +172,24 @@ public:
   /// Keyed by (cache geometry, base addresses, padded dims). \p DL must
   /// view the manager's program.
   /// @{
-  const analysis::ProgramEstimate &
-  missEstimate(const layout::DataLayout &DL, const CacheConfig &Cache);
   /// Severe entries only (SevereOnly=true), which is what the padding
   /// repair move and the lint rules consume.
   const std::vector<analysis::ConflictEntry> &
   severeConflicts(const layout::DataLayout &DL, const CacheConfig &Cache);
-  /// Analytic conflict prediction from the associativity lattice — the
-  /// simulation-free tier behind search pre-screening and the
-  /// predicted-conflict-volume lint rules. Multi-level consumers query
-  /// it once per level.
+  /// The static miss model (analysis::predictConflicts): the
+  /// simulation-free tier behind search pre-screening, the lint rules'
+  /// severities and `padtool --estimate`. Multi-level consumers query it
+  /// once per level.
   const analysis::LatticePrediction &
   latticePrediction(const layout::DataLayout &DL,
                     const CacheConfig &Cache);
   /// @}
 
   /// \name Un-memoized pass-throughs
-  /// Kept only because perfbench/ calls them. Each computes on every
-  /// call from the memoized reference groups (and iteration counts),
-  /// has no cache slot or counters of its own, and returns by value.
+  /// Kept only because perfbench/ calls them; they go with the next
+  /// change to perfbench/ (ROADMAP item 4). Each computes on every call
+  /// from the memoized reference groups (and iteration counts), has no
+  /// cache slot or counters of its own, and returns by value.
   /// @{
   /// Reuse classes per loop group, aligned with referenceGroups(); the
   /// group pointers stay valid while those groups stay cached.
@@ -202,6 +199,11 @@ public:
   analysis::MachinePrediction
   machineLatticePrediction(const layout::DataLayout &DL,
                            const MachineModel &Machine);
+  /// analysis::predictConflicts on one geometry. It neither reads nor
+  /// fills the lattice-prediction slot, so perfbench's separate timing
+  /// of latticePrediction() still sees a cold computation.
+  analysis::LatticePrediction missEstimate(const layout::DataLayout &DL,
+                                           const CacheConfig &Cache);
   /// @}
 
   /// Drops every layout-keyed result; program-level results stay. Call
@@ -227,7 +229,6 @@ private:
   /// Results cached per layout fingerprint. Each slot is filled lazily
   /// on first query of that kind under that fingerprint.
   struct LayoutEntry {
-    std::optional<analysis::ProgramEstimate> Estimate;
     std::optional<std::vector<analysis::ConflictEntry>> Severe;
     std::optional<analysis::LatticePrediction> Lattice;
   };

@@ -105,11 +105,10 @@ public:
     Ptr<std::vector<bool>> LinAlg;
     Ptr<double> UniformPct;
   };
-  /// Per-(program, geometry, layout) slots. Same rule: Estimate,
-  /// Severe and Lattice are strings and numbers only. A multi-level
-  /// machine's lattice predictions live here one level at a time.
+  /// Per-(program, geometry, layout) slots. Same rule: Severe and
+  /// Lattice are strings and numbers only. A multi-level machine's
+  /// lattice predictions live here one level at a time.
   struct LayoutSlots {
-    Ptr<analysis::ProgramEstimate> Estimate;
     Ptr<std::vector<analysis::ConflictEntry>> Severe;
     Ptr<analysis::LatticePrediction> Lattice;
   };

@@ -7,7 +7,6 @@
 #include "server/Protocol.h"
 
 #include "support/JsonWriter.h"
-#include "support/MathExtras.h"
 
 #include <limits>
 #include <sstream>
@@ -71,12 +70,7 @@ bool needsSource(Op O) {
 /// The same geometry rules padtool enforces on its flags, phrased for
 /// the protocol fields.
 bool validGeometry(const CacheConfig &C, std::string &Error) {
-  if (!isPowerOf2(C.SizeBytes) || !isPowerOf2(C.LineBytes) ||
-      C.Associativity < 0 || C.LineBytes > C.SizeBytes ||
-      (C.Associativity > 1 &&
-       (!isPowerOf2(C.Associativity) ||
-        C.Associativity * C.LineBytes > C.SizeBytes)) ||
-      !C.isValid()) {
+  if (!C.isValid()) {
     Error = "invalid cache geometry: cache=" +
             std::to_string(C.SizeBytes) +
             " line=" + std::to_string(C.LineBytes) +

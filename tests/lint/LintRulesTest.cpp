@@ -256,6 +256,32 @@ TEST(ConflictPairRule, CrossArrayPairGetsInterGapOnLaterArray) {
   }
 }
 
+TEST(ConflictPairRule, ErrorOnlyWhereThePairThrashesItsSet) {
+  // A[i] and B[i] sit exactly one 16 KiB cache apart, so the pair folds
+  // to conflict distance 0 on a direct-mapped and a 2-way cache alike.
+  // Direct-mapped, each access evicts the other's line and the nest's
+  // misses dominate: Error. A 2-way set holds both lines, so nothing
+  // thrashes and the finding stays a Warning, although the nest's
+  // spatial misses alone reach 25% of its accesses.
+  constexpr const char *kPair = R"(program pair
+array A : real[512]
+array F : real[1536]
+array B : real[512]
+loop i = 1, 512 {
+  B[i] = A[i]
+}
+)";
+  LintResult Direct = lintSource(kPair);
+  auto DirectHits = byRule(Direct, "conflict-pair");
+  ASSERT_EQ(DirectHits.size(), 1u);
+  EXPECT_EQ(DirectHits[0]->Sev, Severity::Error);
+
+  LintResult TwoWay = lintSource(kPair, CacheConfig{16 * 1024, 32, 2});
+  auto TwoWayHits = byRule(TwoWay, "conflict-pair");
+  ASSERT_EQ(TwoWayHits.size(), 1u);
+  EXPECT_EQ(TwoWayHits[0]->Sev, Severity::Warning);
+}
+
 TEST(ConflictPairRule, SilentOnSpatialReuseWithinALine) {
   // 8 bytes apart: same line, reuse rather than eviction.
   LintResult R = lintSource(R"(program reuse

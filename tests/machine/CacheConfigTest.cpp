@@ -42,6 +42,11 @@ TEST(CacheConfig, InvalidGeometries) {
   EXPECT_FALSE((CacheConfig{64, 128, 1}).isValid());   // line > size
   EXPECT_FALSE((CacheConfig{1024, 32, 64}).isValid()); // ways too large
   EXPECT_FALSE((CacheConfig{1024, 32, -1}).isValid());
+  // 8 ways of 2^60-byte lines overflow int64 before they exceed 2^62.
+  EXPECT_FALSE((CacheConfig{int64_t(1) << 62, int64_t(1) << 60, 8})
+                   .isValid());
+  EXPECT_TRUE((CacheConfig{int64_t(1) << 62, int64_t(1) << 60, 4})
+                  .isValid());
 }
 
 TEST(CacheConfig, Describe) {

@@ -104,6 +104,35 @@ TEST(MachineModel, ParseErrors) {
                           &Error));
   // Only a TLB.
   EXPECT_FALSE(MachineModel::parse("tlb:64/4k/4", M, &Error));
+  // Sizes whose byte count overflows int64: 2^34+1 gigabytes, and 2^34+1
+  // TLB entries of 1G pages. Neither may wrap into a valid geometry.
+  EXPECT_FALSE(MachineModel::parse("l1:17179869185g/64/1", M, &Error));
+  EXPECT_NE(Error.find("bad size"), std::string::npos) << Error;
+  EXPECT_FALSE(MachineModel::parse(
+      "l1:16k/64/1,tlb:17179869185/1g/4", M, &Error));
+  EXPECT_NE(Error.find("invalid geometry"), std::string::npos) << Error;
+  // 2^62 bytes in 8 ways of 2^60-byte lines: the ways-times-line check
+  // must not overflow either.
+  EXPECT_FALSE(
+      MachineModel::parse("l1:4294967296g/1073741824g/8", M, &Error));
+  EXPECT_NE(Error.find("invalid geometry"), std::string::npos) << Error;
+}
+
+TEST(MachineModel, DuplicateLevelNamesAreInvalid) {
+  // Weights, lint's Finding::Level and the search's per-level names all
+  // address a level by name, so two levels may not share one.
+  MachineModel M;
+  std::string Error;
+  EXPECT_FALSE(MachineModel::parse("l1:16k/64/1,l1:32k/64/1", M, &Error));
+  EXPECT_NE(Error.find("l1"), std::string::npos) << Error;
+  // A named level may not take an unnamed level's positional name.
+  MachineModel Mixed;
+  Mixed.Levels.push_back(CacheLevel(CacheConfig{16 * 1024, 32, 1}));
+  Mixed.Levels.push_back(
+      CacheLevel(CacheConfig{64 * 1024, 64, 1}, "l1", 8.0));
+  EXPECT_FALSE(Mixed.isValid(&Error));
+  Mixed.Levels[1].Name.clear();
+  EXPECT_TRUE(Mixed.isValid(&Error)) << Error;
 }
 
 TEST(MachineModel, Weights) {

@@ -11,8 +11,9 @@
 /// stale results while the layout-independent analyses stay cached;
 /// explicit invalidation drops only the layout side; with the cache
 /// disabled every query recomputes; a multi-level machine's static score
-/// reuses single-geometry lattice predictions level by level. Every
-/// cached answer is checked bit-identical to the direct analysis call it
+/// reuses single-geometry lattice predictions level by level; and the
+/// missEstimate() pass-through neither counts nor caches. Every cached
+/// answer is checked bit-identical to the direct analysis call it
 /// memoizes.
 ///
 //===----------------------------------------------------------------------===//
@@ -20,7 +21,7 @@
 #include "pipeline/AnalysisManager.h"
 
 #include "analysis/ConflictReport.h"
-#include "analysis/MissEstimate.h"
+#include "analysis/LatticePredictor.h"
 #include "kernels/Kernels.h"
 #include "layout/DataLayout.h"
 #include "pipeline/SharedAnalysisCache.h"
@@ -35,10 +36,11 @@ namespace {
 
 const CacheConfig kCache = CacheConfig::base16K();
 
-void expectSameEstimate(const analysis::ProgramEstimate &A,
-                        const analysis::ProgramEstimate &B) {
+void expectSamePrediction(const analysis::LatticePrediction &A,
+                          const analysis::LatticePrediction &B) {
   EXPECT_EQ(A.PredictedMisses, B.PredictedMisses);
   EXPECT_EQ(A.PredictedAccesses, B.PredictedAccesses);
+  EXPECT_EQ(A.PredictedConflictMisses, B.PredictedConflictMisses);
 }
 
 } // namespace
@@ -70,8 +72,8 @@ TEST(AnalysisManager, CachedResultsMatchDirectAnalysisCalls) {
   AnalysisManager AM(P);
   layout::DataLayout DL = layout::originalLayout(P);
 
-  expectSameEstimate(AM.missEstimate(DL, kCache),
-                     analysis::estimateMisses(DL, kCache));
+  expectSamePrediction(AM.latticePrediction(DL, kCache),
+                       analysis::predictConflicts(DL, kCache));
 
   std::vector<analysis::ConflictEntry> Direct =
       analysis::reportConflicts(DL, kCache, /*SevereOnly=*/true);
@@ -95,19 +97,19 @@ TEST(AnalysisManager, LayoutMutationRecomputesOnlyLayoutResults) {
   AnalysisManager AM(P);
   layout::DataLayout DL = layout::originalLayout(P);
 
-  AM.missEstimate(DL, kCache);
-  AM.missEstimate(DL, kCache);
+  AM.latticePrediction(DL, kCache);
+  AM.latticePrediction(DL, kCache);
   const AnalysisStats &S = AM.stats();
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Misses, 1u);
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Hits, 1u);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Misses, 1u);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Hits, 1u);
   uint64_t GroupMisses = S.of(AnalysisKind::ReferenceGroups).Misses;
 
   // Mutate mid-session: grow a dimension, as lint's intra-pad fix does.
   DL.layout(0).Dims[0] += 3;
   layout::assignSequentialBases(DL);
-  expectSameEstimate(AM.missEstimate(DL, kCache),
-                     analysis::estimateMisses(DL, kCache));
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Misses, 2u)
+  expectSamePrediction(AM.latticePrediction(DL, kCache),
+                       analysis::predictConflicts(DL, kCache));
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Misses, 2u)
       << "mutated layout must be recomputed, not served stale";
   EXPECT_EQ(S.of(AnalysisKind::ReferenceGroups).Misses, GroupMisses)
       << "layout-independent analyses must stay cached across mutation";
@@ -116,9 +118,9 @@ TEST(AnalysisManager, LayoutMutationRecomputesOnlyLayoutResults) {
   // Mutating back restores the original fingerprint: still cached.
   DL.layout(0).Dims[0] -= 3;
   layout::assignSequentialBases(DL);
-  AM.missEstimate(DL, kCache);
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Misses, 2u);
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Hits, 2u);
+  AM.latticePrediction(DL, kCache);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Misses, 2u);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Hits, 2u);
 }
 
 TEST(AnalysisManager, ExplicitInvalidationDropsOnlyLayoutResults) {
@@ -127,17 +129,17 @@ TEST(AnalysisManager, ExplicitInvalidationDropsOnlyLayoutResults) {
   layout::DataLayout DL = layout::originalLayout(P);
 
   AM.referenceGroups();
-  AM.missEstimate(DL, kCache);
+  AM.latticePrediction(DL, kCache);
   AM.severeConflicts(DL, kCache);
   AM.invalidateLayoutResults();
 
   const AnalysisStats &S = AM.stats();
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Invalidated, 1u);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Invalidated, 1u);
   EXPECT_EQ(S.of(AnalysisKind::ConflictReport).Invalidated, 1u);
   EXPECT_EQ(S.of(AnalysisKind::ReferenceGroups).Invalidated, 0u);
 
-  AM.missEstimate(DL, kCache);
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Misses, 2u)
+  AM.latticePrediction(DL, kCache);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Misses, 2u)
       << "invalidated layout result must recompute";
   EXPECT_EQ(S.of(AnalysisKind::ReferenceGroups).Misses, 1u)
       << "program-level results survive layout invalidation";
@@ -150,12 +152,12 @@ TEST(AnalysisManager, CacheKeyCoversCacheGeometry) {
 
   CacheConfig TwoWay = kCache;
   TwoWay.Associativity = 2;
-  AM.missEstimate(DL, kCache);
-  AM.missEstimate(DL, TwoWay);
-  EXPECT_EQ(AM.stats().of(AnalysisKind::MissEstimate).Misses, 2u)
+  AM.latticePrediction(DL, kCache);
+  AM.latticePrediction(DL, TwoWay);
+  EXPECT_EQ(AM.stats().of(AnalysisKind::LatticePrediction).Misses, 2u)
       << "same layout under a different geometry is a different result";
-  expectSameEstimate(AM.missEstimate(DL, TwoWay),
-                     analysis::estimateMisses(DL, TwoWay));
+  expectSamePrediction(AM.latticePrediction(DL, TwoWay),
+                       analysis::predictConflicts(DL, TwoWay));
 }
 
 TEST(AnalysisManager, DisabledCacheRecomputesEveryQuery) {
@@ -165,14 +167,14 @@ TEST(AnalysisManager, DisabledCacheRecomputesEveryQuery) {
 
   AM.referenceGroups();
   AM.referenceGroups();
-  AM.missEstimate(DL, kCache);
-  expectSameEstimate(AM.missEstimate(DL, kCache),
-                     analysis::estimateMisses(DL, kCache));
+  AM.latticePrediction(DL, kCache);
+  expectSamePrediction(AM.latticePrediction(DL, kCache),
+                       analysis::predictConflicts(DL, kCache));
 
   const AnalysisStats &S = AM.stats();
   EXPECT_EQ(S.of(AnalysisKind::ReferenceGroups).Hits, 0u);
   EXPECT_GE(S.of(AnalysisKind::ReferenceGroups).Misses, 2u);
-  EXPECT_EQ(S.of(AnalysisKind::MissEstimate).Hits, 0u);
+  EXPECT_EQ(S.of(AnalysisKind::LatticePrediction).Hits, 0u);
   EXPECT_EQ(S.totalHits(), 0u);
 }
 
@@ -185,10 +187,10 @@ TEST(AnalysisManager, LayoutCacheOverflowSweepsAndStaysCorrect) {
   for (size_t I = 0; I != AnalysisManager::kMaxLayoutEntries + 8; ++I) {
     layout::DataLayout DL = layout::originalLayout(P);
     DL.layout(1).BaseAddr += static_cast<int64_t>(I) * 64;
-    expectSameEstimate(AM.missEstimate(DL, kCache),
-                       analysis::estimateMisses(DL, kCache));
+    expectSamePrediction(AM.latticePrediction(DL, kCache),
+                         analysis::predictConflicts(DL, kCache));
   }
-  EXPECT_GT(AM.stats().of(AnalysisKind::MissEstimate).Invalidated, 0u);
+  EXPECT_GT(AM.stats().of(AnalysisKind::LatticePrediction).Invalidated, 0u);
   EXPECT_EQ(AM.stats().of(AnalysisKind::ReferenceGroups).Misses, 1u);
 }
 
@@ -222,4 +224,25 @@ TEST(AnalysisManager, MachineLevelReusesSingleGeometryPrediction) {
   EXPECT_EQ(Across.SharedHits, 1u)
       << "the L1 level must be served from the shared cache";
   EXPECT_EQ(Across.Misses, 1u);
+}
+
+// missEstimate() survives only as perfbench's pass-through: it answers
+// with the lattice predictor but owns no slot and no counters, and it
+// must leave the lattice slot cold for the latticePrediction() timing
+// that follows it in perfbench's analysis probe.
+TEST(AnalysisManager, MissEstimateIsAnUncountedLatticePassThrough) {
+  ir::Program P = kernels::makeKernel("jacobi");
+  AnalysisManager AM(P);
+  layout::DataLayout DL = layout::originalLayout(P);
+
+  expectSamePrediction(AM.missEstimate(DL, kCache),
+                       analysis::predictConflicts(DL, kCache));
+  AM.missEstimate(DL, kCache);
+  const AnalysisCounters &C =
+      AM.stats().of(AnalysisKind::LatticePrediction);
+  EXPECT_EQ(C.Hits, 0u);
+  EXPECT_EQ(C.Misses, 0u);
+
+  AM.latticePrediction(DL, kCache);
+  EXPECT_EQ(C.Misses, 1u) << "the pass-through must not warm the slot";
 }

@@ -18,7 +18,7 @@
 
 #include "pipeline/SharedAnalysisCache.h"
 
-#include "analysis/MissEstimate.h"
+#include "analysis/LatticePredictor.h"
 #include "kernels/Kernels.h"
 #include "layout/DataLayout.h"
 #include "pipeline/AnalysisManager.h"
@@ -114,7 +114,7 @@ TEST(SharedCache, SurvivesDeathOfTheWarmingProgram) {
     layout::DataLayout DL1 = layout::originalLayout(*P1);
     AnalysisManager AM1(*P1);
     AM1.attachSharedCache(&Shared);
-    AM1.missEstimate(DL1, kCache);
+    AM1.latticePrediction(DL1, kCache);
     AM1.severeConflicts(DL1, kCache);
     AM1.reuse(DL1, kCache);
     AM1.iterationCounts();
@@ -125,8 +125,10 @@ TEST(SharedCache, SurvivesDeathOfTheWarmingProgram) {
   AnalysisManager AM2(P2);
   AM2.attachSharedCache(&Shared);
 
-  analysis::ProgramEstimate Direct = analysis::estimateMisses(DL2, kCache);
-  const analysis::ProgramEstimate &Served = AM2.missEstimate(DL2, kCache);
+  analysis::LatticePrediction Direct =
+      analysis::predictConflicts(DL2, kCache);
+  const analysis::LatticePrediction &Served =
+      AM2.latticePrediction(DL2, kCache);
   EXPECT_EQ(Served.PredictedMisses, Direct.PredictedMisses);
   EXPECT_GT(AM2.statsSnapshot().totalSharedHits(), 0u);
   // Reuse recomputes against P2's own IR — its group pointers must
@@ -145,13 +147,17 @@ TEST(SharedCache, LayoutResultsShareAcrossManagers) {
 
   AnalysisManager AM1(P);
   AM1.attachSharedCache(&Shared);
-  const analysis::ProgramEstimate &E1 = AM1.missEstimate(DL, kCache);
+  const analysis::LatticePrediction &E1 =
+      AM1.latticePrediction(DL, kCache);
 
   AnalysisManager AM2(P);
   AM2.attachSharedCache(&Shared);
-  const analysis::ProgramEstimate &E2 = AM2.missEstimate(DL, kCache);
-  EXPECT_EQ(AM2.stats().of(AnalysisKind::MissEstimate).SharedHits, 1u);
-  EXPECT_EQ(AM2.stats().of(AnalysisKind::MissEstimate).Misses, 0u);
+  const analysis::LatticePrediction &E2 =
+      AM2.latticePrediction(DL, kCache);
+  const AnalysisCounters &C =
+      AM2.stats().of(AnalysisKind::LatticePrediction);
+  EXPECT_EQ(C.SharedHits, 1u);
+  EXPECT_EQ(C.Misses, 0u);
   EXPECT_EQ(E1.PredictedMisses, E2.PredictedMisses);
   EXPECT_EQ(E1.PredictedAccesses, E2.PredictedAccesses);
 }
@@ -164,7 +170,7 @@ TEST(SharedCache, SharedResultsMatchUnsharedComputation) {
   // Warm the shared cache through one manager.
   AnalysisManager Warm(P);
   Warm.attachSharedCache(&Shared);
-  Warm.missEstimate(DL, kCache);
+  Warm.latticePrediction(DL, kCache);
   Warm.severeConflicts(DL, kCache);
   Warm.reuse(DL, kCache);
   Warm.iterationCounts();
@@ -175,8 +181,8 @@ TEST(SharedCache, SharedResultsMatchUnsharedComputation) {
   AnalysisManager Served(P);
   Served.attachSharedCache(&Shared);
 
-  EXPECT_EQ(Plain.missEstimate(DL, kCache).PredictedMisses,
-            Served.missEstimate(DL, kCache).PredictedMisses);
+  EXPECT_EQ(Plain.latticePrediction(DL, kCache).PredictedMisses,
+            Served.latticePrediction(DL, kCache).PredictedMisses);
   EXPECT_EQ(Plain.severeConflicts(DL, kCache).size(),
             Served.severeConflicts(DL, kCache).size());
   EXPECT_EQ(Plain.reuse(DL, kCache).size(),
@@ -193,7 +199,7 @@ TEST(SharedCache, DisabledLocalCacheNeverTouchesSharedLayer) {
   AnalysisManager AM(P, /*EnableCache=*/false);
   AM.attachSharedCache(&Shared);
   AM.referenceGroups();
-  AM.missEstimate(DL, kCache);
+  AM.latticePrediction(DL, kCache);
 
   SharedCacheStats S = Shared.snapshot();
   EXPECT_EQ(S.totalHits(), 0u);
@@ -213,12 +219,13 @@ TEST(SharedCache, LayoutSideEvictsUnderPressure) {
   layout::DataLayout DL = layout::originalLayout(P);
   for (int64_t Size = 1024; Size <= 1024 << 8; Size *= 2) {
     CacheConfig C{Size, 32, 1};
-    AM.missEstimate(DL, C);
+    AM.latticePrediction(DL, C);
     AM.severeConflicts(DL, C);
   }
   // Still correct afterwards.
-  const analysis::ProgramEstimate &E = AM.missEstimate(DL, kCache);
-  analysis::ProgramEstimate Direct = analysis::estimateMisses(DL, kCache);
+  const analysis::LatticePrediction &E = AM.latticePrediction(DL, kCache);
+  analysis::LatticePrediction Direct =
+      analysis::predictConflicts(DL, kCache);
   EXPECT_EQ(E.PredictedMisses, Direct.PredictedMisses);
 }
 
@@ -247,8 +254,8 @@ TEST(SharedCache, ConcurrentManagersStayCorrect) {
   ir::Program P = kernels::makeKernel("chol");
   layout::DataLayout DL = layout::originalLayout(P);
   SharedAnalysisCache Shared;
-  const analysis::ProgramEstimate Expected =
-      analysis::estimateMisses(DL, kCache);
+  const analysis::LatticePrediction Expected =
+      analysis::predictConflicts(DL, kCache);
 
   constexpr unsigned kThreads = 8;
   constexpr unsigned kIters = 16;
@@ -259,7 +266,7 @@ TEST(SharedCache, ConcurrentManagersStayCorrect) {
       for (unsigned I = 0; I != kIters; ++I) {
         AnalysisManager AM(P);
         AM.attachSharedCache(&Shared);
-        if (AM.missEstimate(DL, kCache).PredictedMisses !=
+        if (AM.latticePrediction(DL, kCache).PredictedMisses !=
             Expected.PredictedMisses)
           Mismatches.fetch_add(1);
         AM.severeConflicts(DL, kCache);

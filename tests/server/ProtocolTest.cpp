@@ -415,6 +415,27 @@ TEST(Protocol, BadMachineAndWeightsAreInvalidRequests) {
   }
 }
 
+// Geometries whose sizes overflow int64 (2^34+1 gigabytes; 2^34+1 TLB
+// entries of 1G pages; 8 ways of 2^60-byte lines, as a spec or as the
+// one-level fields) or that name one level twice are refused at parse
+// time, before any analysis could run on a wrapped or ambiguous machine.
+TEST(Protocol, OverflowingOrAmbiguousGeometriesAreInvalidRequests) {
+  HandlerFixture F;
+  for (const char *Fields :
+       {"\"machine\":\"l1:17179869185g/64/1\"",
+        "\"machine\":\"l1:16k/64/1,tlb:17179869185/1g/4\"",
+        "\"machine\":\"l1:4294967296g/1073741824g/8\"",
+        "\"machine\":\"l1:16k/64/1,l1:32k/64/1\"",
+        "\"cache\":4611686018427387904,\"line\":1152921504606846976,"
+        "\"assoc\":8"}) {
+    support::JsonValue R =
+        F.respond(std::string("{\"id\":1,\"op\":\"pad\",") + Fields +
+                  ",\"source\":" + quoted(kTinyProgram) + "}");
+    EXPECT_FALSE(R.getBool("ok", true)) << Fields;
+    EXPECT_EQ(errorCode(R), kErrInvalidRequest) << Fields;
+  }
+}
+
 TEST(Protocol, MultiLevelPadCarriesMachineAndPerLevelSearchSections) {
   HandlerFixture F;
   support::JsonValue R = F.respond(
