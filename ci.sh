@@ -72,6 +72,12 @@ echo "== perf smoke: replay guard =="
 build/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
   --candidates 32 --reps 5 --guard 1.0 \
   --json build/BENCH_replay.json
+# The gather path: IRR reads every subscript through an index array, so
+# this run holds replay of gathered refs to the same exactness and
+# speed guard (it exits 1 if recording declines).
+build/bench/replay_speedup --kernel irr --size 5000 \
+  --candidates 32 --reps 5 --guard 1.0 \
+  --json build/BENCH_replay_irr.json
 build/bench/search_vs_pad --budget 24 --threads 2 --seed 1 jacobi \
   --json build/BENCH_search.json
 

@@ -10,9 +10,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <ostream>
 
 using namespace padx;
 using namespace padx::sim;
+
+std::ostream &padx::sim::operator<<(std::ostream &OS, const CacheStats &S) {
+  return OS << "{accesses " << S.Accesses << ", misses " << S.Misses
+            << ", reads " << S.Reads << ", writes " << S.Writes
+            << ", write-backs " << S.WriteBacks << "}";
+}
 
 CacheSim::CacheSim(const CacheConfig &Config) : Config(Config) {
   assert(Config.isValid() && "invalid cache configuration");

@@ -21,6 +21,7 @@
 #include "support/Compiler.h"
 
 #include <cstdint>
+#include <iosfwd>
 #include <unordered_map>
 #include <vector>
 
@@ -41,7 +42,12 @@ struct CacheStats {
                : static_cast<double>(Misses) /
                      static_cast<double>(Accesses);
   }
+
+  bool operator==(const CacheStats &RHS) const = default;
 };
+
+/// Prints every field, e.g. for a failed comparison in a test.
+std::ostream &operator<<(std::ostream &OS, const CacheStats &S);
 
 class CacheSim {
 public:

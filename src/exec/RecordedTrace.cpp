@@ -6,6 +6,7 @@
 
 #include "exec/RecordedTrace.h"
 
+#include "support/Compiler.h"
 #include "support/Guard.h"
 
 #include <algorithm>
@@ -59,6 +60,14 @@ struct CRef {
   int32_t ElemSize = 0;
   bool IsWrite = false;
   std::vector<CAffine> DimIndex;
+  /// Gathered refs: DimIndex[GatherDim] is the offset into value table
+  /// Table, whose entry minus GatherLower is the dimension's index.
+  int32_t GatherDim = -1;
+  uint32_t Table = 0;
+  int64_t GatherLower = 0;
+  /// Index reads: the index array's declared length, which every
+  /// emitted offset must stay under; -1 for every other ref.
+  int64_t IndexLimit = -1;
 };
 
 struct CLoop;
@@ -138,6 +147,8 @@ private:
   std::vector<int64_t> Env;
   std::map<std::string, int> SlotOfVar;
   int NumSlots = 0;
+  /// Index array id -> its value table in RT.Tables.
+  std::map<unsigned, uint32_t> TableOfArray;
 
   /// Per pattern, the compiled refs whose DimIndex functions produce the
   /// block start values (compile-side only; not stored in the trace).
@@ -167,6 +178,60 @@ private:
     return C;
   }
 
+  /// The value table of index array \p ArrayId, filled over its declared
+  /// length on first use.
+  uint32_t tableFor(unsigned ArrayId) {
+    auto It = TableOfArray.find(ArrayId);
+    if (It != TableOfArray.end())
+      return It->second;
+    const ir::ArrayVariable &Idx = Prog.array(ArrayId);
+    const int64_t Length = Idx.numElements();
+    if (static_cast<uint64_t>(Length) >
+        (kMaxStorageBytes - RT.storageBytes()) / sizeof(int32_t)) {
+      abort("index array '" + Idx.Name + "' exceeds the " +
+            std::to_string(kMaxStorageBytes >> 20) +
+            " MiB trace storage cap");
+      return 0;
+    }
+    RT.Tables.push_back(indexArrayValues(Idx, Length));
+    const uint32_t Table = static_cast<uint32_t>(RT.Tables.size() - 1);
+    TableOfArray.emplace(ArrayId, Table);
+    return Table;
+  }
+
+  /// Compiles \p R into \p Out. An indirect ref becomes two, in the
+  /// walk's order: the index read, an affine 4-byte read of the index
+  /// array, then the target, whose indirect dimension holds the same
+  /// offset and gathers through the index array's value table.
+  void compileRef(const ir::ArrayRef &R, std::vector<CRef> &Out) {
+    const ir::ArrayVariable &V = Prog.array(R.ArrayId);
+    CRef C;
+    C.ArrayId = R.ArrayId;
+    C.ElemSize = static_cast<int32_t>(V.ElemSize);
+    C.IsWrite = R.IsWrite;
+    C.DimIndex.reserve(R.Subscripts.size());
+    for (unsigned D = 0, E = static_cast<unsigned>(R.Subscripts.size());
+         D != E; ++D)
+      C.DimIndex.push_back(compileAffine(
+          R.Subscripts[D].plusConstant(-V.LowerBounds[D])));
+    if (R.IndirectDim >= 0) {
+      const ir::ArrayVariable &Idx = Prog.array(R.IndexArrayId);
+      const unsigned D = static_cast<unsigned>(R.IndirectDim);
+      CRef Read;
+      Read.ArrayId = R.IndexArrayId;
+      Read.ElemSize = static_cast<int32_t>(Idx.ElemSize);
+      Read.DimIndex.push_back(compileAffine(
+          R.Subscripts[D].plusConstant(-Idx.LowerBounds[0])));
+      Read.IndexLimit = Idx.numElements();
+      C.DimIndex[D] = Read.DimIndex.front();
+      C.GatherDim = static_cast<int32_t>(D);
+      C.Table = tableFor(R.IndexArrayId);
+      C.GatherLower = V.LowerBounds[D];
+      Out.push_back(std::move(Read));
+    }
+    Out.push_back(std::move(C));
+  }
+
   std::vector<CStmt> compileStmts(const std::vector<ir::Stmt> &In) {
     std::vector<CStmt> Out;
     for (const ir::Stmt &S : In) {
@@ -174,28 +239,9 @@ private:
         return Out;
       if (const auto *A = std::get_if<ir::Assign>(&S)) {
         CAssign CA;
-        for (const ir::ArrayRef &R : A->Refs) {
-          const ir::ArrayVariable &V = Prog.array(R.ArrayId);
-          if (V.isScalar())
-            continue; // Register-promoted, same as the TraceRunner.
-          if (R.IndirectDim >= 0) {
-            abort("indirect subscript through '" +
-                  Prog.array(R.IndexArrayId).Name +
-                  "' makes the stream layout-dependent");
-            return Out;
-          }
-          CRef C;
-          C.ArrayId = R.ArrayId;
-          C.ElemSize = static_cast<int32_t>(V.ElemSize);
-          C.IsWrite = R.IsWrite;
-          C.DimIndex.reserve(R.Subscripts.size());
-          for (unsigned D = 0,
-                        E = static_cast<unsigned>(R.Subscripts.size());
-               D != E; ++D)
-            C.DimIndex.push_back(compileAffine(
-                R.Subscripts[D].plusConstant(-V.LowerBounds[D])));
-          CA.Refs.push_back(std::move(C));
-        }
+        for (const ir::ArrayRef &R : A->Refs)
+          if (!Prog.array(R.ArrayId).isScalar()) // Register-promoted, same
+            compileRef(R, CA.Refs);              // as the TraceRunner.
         if (!CA.Refs.empty())
           Out.emplace_back(std::move(CA));
         continue;
@@ -230,6 +276,9 @@ private:
     Out.DeltaIndex = static_cast<uint32_t>(RT.Deltas.size());
     Out.ElemSize = R.ElemSize;
     Out.IsWrite = R.IsWrite;
+    Out.GatherDim = R.GatherDim;
+    Out.Table = R.Table;
+    Out.GatherLower = R.GatherLower;
     for (const CAffine &Dim : R.DimIndex)
       RT.Deltas.push_back(Slot < 0 ? 0 : Dim.coeffOf(Slot) * Step);
     RT.Refs.push_back(Out);
@@ -247,8 +296,10 @@ private:
     RecordedTrace::Pattern &Pat = RT.Patterns[Index];
     Pat.RefEnd = static_cast<uint32_t>(RT.Refs.size());
     uint32_t Starts = 0;
-    for (uint32_t R = Pat.RefBegin; R != Pat.RefEnd; ++R)
+    for (uint32_t R = Pat.RefBegin; R != Pat.RefEnd; ++R) {
       Starts += RT.Refs[R].Rank;
+      Pat.HasGather |= RT.Refs[R].GatherDim >= 0;
+    }
     Pat.StartsPerIter = Starts;
   }
 
@@ -380,12 +431,37 @@ private:
       for (uint32_t K = 0; K != Shape.Rank; ++K)
         RT.Starts.push_back(Sources[I]->DimIndex[K].eval(Env) +
                             Advance * RT.Deltas[Shape.DeltaIndex + K]);
+      if (Sources[I]->IndexLimit >= 0)
+        checkIndexRange(*Sources[I], RT.Starts.back(),
+                        RT.Deltas[Shape.DeltaIndex], Count);
     }
     RT.Blocks.push_back(B);
     if (RT.storageBytes() > kMaxStorageBytes)
       abort("compressed trace exceeds " +
             std::to_string(kMaxStorageBytes >> 20) +
             " MiB; stream too block-heavy to replay profitably");
+  }
+
+  /// Declines unless the \p Count offsets \p First, First + Step, ...
+  /// of index read \p Read all fall inside the index array's declared
+  /// length. Offsets are affine in the block's iteration, so the first
+  /// and last bound them all. Past the declared length the walk reads
+  /// padding values or stops with IndirectOutOfRange, depending on the
+  /// padded length, so no recording could serve every layout.
+  void checkIndexRange(const CRef &Read, int64_t First, int64_t Step,
+                       uint64_t Count) {
+    int64_t Span, Last;
+    const bool Overflow =
+        Count - 1 > static_cast<uint64_t>(INT64_MAX) ||
+        mulOverflow(static_cast<int64_t>(Count - 1), Step, Span) ||
+        addOverflow(First, Span, Last);
+    if (!Overflow && std::min(First, Last) >= 0 &&
+        std::max(First, Last) < Read.IndexLimit)
+      return;
+    abort("index subscript leaves the " +
+          std::to_string(Read.IndexLimit) + " declared elements of '" +
+          Prog.array(Read.ArrayId).Name +
+          "'; where the walk stops then depends on the layout");
   }
 
   void execStmts(const std::vector<CStmt> &Stmts) {
@@ -439,10 +515,20 @@ RecordedTrace::record(const ir::Program &P, const RunOptions &Options,
 }
 
 size_t RecordedTrace::storageBytes() const {
-  return Refs.size() * sizeof(Ref) + Deltas.size() * sizeof(int64_t) +
-         Patterns.size() * sizeof(Pattern) +
-         Blocks.size() * sizeof(Block) +
-         Starts.size() * sizeof(int64_t);
+  size_t Bytes = Refs.size() * sizeof(Ref) +
+                 Deltas.size() * sizeof(int64_t) +
+                 Patterns.size() * sizeof(Pattern) +
+                 Blocks.size() * sizeof(Block) +
+                 Starts.size() * sizeof(int64_t);
+  for (const std::vector<int32_t> &Table : Tables)
+    Bytes += Table.size() * sizeof(int32_t);
+  return Bytes;
+}
+
+size_t RecordedTrace::numGatheredRefs() const {
+  return static_cast<size_t>(
+      std::count_if(Refs.begin(), Refs.end(),
+                    [](const Ref &R) { return R.GatherDim >= 0; }));
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,10 +540,21 @@ TraceReplayer::TraceReplayer(const RecordedTrace &Trace) : T(Trace) {
   for (const RecordedTrace::Pattern &P : T.Patterns)
     MaxRefs = std::max<size_t>(MaxRefs, P.RefEnd - P.RefBegin);
   AddrScratch.resize(MaxRefs);
-  RefDeltaBytes.assign(T.Refs.size(), 0);
-  RefWrite.resize(T.Refs.size());
-  for (size_t R = 0; R != T.Refs.size(); ++R)
-    RefWrite[R] = T.Refs[R].IsWrite;
+  OffsetScratch.resize(MaxRefs);
+  const size_t NumRefs = T.Refs.size();
+  RefDeltaBytes.assign(NumRefs, 0);
+  RefGatherStride.assign(NumRefs, 0);
+  RefTable.assign(NumRefs, nullptr);
+  RefOffsetDelta.assign(NumRefs, 0);
+  RefWrite.resize(NumRefs);
+  for (size_t R = 0; R != NumRefs; ++R) {
+    const RecordedTrace::Ref &Rf = T.Refs[R];
+    RefWrite[R] = Rf.IsWrite;
+    if (Rf.GatherDim >= 0) {
+      RefTable[R] = T.Tables[Rf.Table].data();
+      RefOffsetDelta[R] = T.Deltas[Rf.DeltaIndex + Rf.GatherDim];
+    }
+  }
   PatternWrites.assign(T.Patterns.size(), 0);
   for (size_t P = 0; P != T.Patterns.size(); ++P)
     for (uint32_t R = T.Patterns[P].RefBegin; R != T.Patterns[P].RefEnd;
@@ -471,10 +568,10 @@ TraceReplayer::TraceReplayer(const RecordedTrace &Trace) : T(Trace) {
     ++SlotRefBegin[R.ArrayId + 1];
   for (size_t Id = 0; Id != NumArrays; ++Id)
     SlotRefBegin[Id + 1] += SlotRefBegin[Id];
-  SlotRefs.resize(T.Refs.size());
+  SlotRefs.resize(NumRefs);
   std::vector<uint32_t> Fill(SlotRefBegin.begin(),
                              SlotRefBegin.end() - 1);
-  for (uint32_t R = 0; R != T.Refs.size(); ++R)
+  for (uint32_t R = 0; R != NumRefs; ++R)
     SlotRefs[Fill[T.Refs[R].ArrayId]++] = R;
 }
 
@@ -514,6 +611,8 @@ void TraceReplayer::updateRemaps(const layout::DataLayout &DL) {
     // Rebuild exactly this slot's refs through the CSR index; refs of
     // slots that stayed clean keep their deltas untouched, so an
     // intra pad on one array costs that array's refs, not the table.
+    // A gathered dimension steps through its table, not the address, so
+    // it stays out of the byte delta and keeps its stride apart.
     ++Remaps.SlotRebuilds;
     for (uint32_t I = SlotRefBegin[Id]; I != SlotRefBegin[Id + 1];
          ++I) {
@@ -521,18 +620,113 @@ void TraceReplayer::updateRemaps(const layout::DataLayout &DL) {
       const RecordedTrace::Ref &Rf = T.Refs[R];
       int64_t Delta = 0;
       for (uint32_t K = 0; K != Rf.Rank; ++K)
-        Delta += T.Deltas[Rf.DeltaIndex + K] * S.StrideBytes[K];
+        if (static_cast<int32_t>(K) != Rf.GatherDim)
+          Delta += T.Deltas[Rf.DeltaIndex + K] * S.StrideBytes[K];
       RefDeltaBytes[R] = Delta;
+      if (Rf.GatherDim >= 0)
+        RefGatherStride[R] = S.StrideBytes[Rf.GatherDim];
       ++Remaps.RefDeltaRebuilds;
     }
     S.Cached = true;
   }
 }
 
-template <typename ProbeFn, typename BlockFn>
-void TraceReplayer::replayImpl(ProbeFn &&Probe, BlockFn &&PerBlock) {
-  const int64_t *Starts = T.Starts.data();
+template <unsigned W, bool Gather, typename ProbeFn>
+PADX_ALWAYS_INLINE void TraceReplayer::streamNarrow(ProbeFn &Probe,
+                                                    uint32_t RefBegin,
+                                                    uint64_t Count) {
+  // Locals of a compile-time width: once the ref loop is unrolled, each
+  // running address, delta and write bit lives in a register instead of
+  // being reloaded after every store to the simulated set array.
+  int64_t Addr[W], Delta[W], WriteBit[W];
+  const int32_t *Table[W];
+  int64_t Offset[W], OffsetDelta[W], GatherStride[W];
+  for (unsigned R = 0; R != W; ++R) {
+    Addr[R] = AddrScratch[R];
+    Delta[R] = RefDeltaBytes[RefBegin + R];
+    WriteBit[R] = RefWrite[RefBegin + R];
+    if constexpr (Gather) {
+      Table[R] = RefTable[RefBegin + R];
+      Offset[R] = OffsetScratch[R];
+      OffsetDelta[R] = RefOffsetDelta[RefBegin + R];
+      GatherStride[R] = RefGatherStride[RefBegin + R];
+    }
+  }
+  for (uint64_t It = 0; It != Count; ++It) {
+#pragma GCC unroll 8
+    for (unsigned R = 0; R != W; ++R) {
+      int64_t A = Addr[R];
+      if constexpr (Gather) {
+        if (Table[R]) {
+          A += Table[R][Offset[R]] * GatherStride[R];
+          Offset[R] += OffsetDelta[R];
+        }
+      }
+      Probe(A, RefBegin + R, WriteBit[R]);
+      Addr[R] += Delta[R];
+    }
+  }
+}
+
+template <bool Gather, typename ProbeFn>
+PADX_ALWAYS_INLINE void TraceReplayer::streamNarrowAny(ProbeFn &Probe,
+                                                       uint32_t RefBegin,
+                                                       uint32_t NumRefs,
+                                                       uint64_t Count) {
+  switch (NumRefs) {
+  case 1:
+    return streamNarrow<1, Gather>(Probe, RefBegin, Count);
+  case 2:
+    return streamNarrow<2, Gather>(Probe, RefBegin, Count);
+  case 3:
+    return streamNarrow<3, Gather>(Probe, RefBegin, Count);
+  case 4:
+    return streamNarrow<4, Gather>(Probe, RefBegin, Count);
+  case 5:
+    return streamNarrow<5, Gather>(Probe, RefBegin, Count);
+  case 6:
+    return streamNarrow<6, Gather>(Probe, RefBegin, Count);
+  case 7:
+    return streamNarrow<7, Gather>(Probe, RefBegin, Count);
+  default:
+    static_assert(kNarrowRefs == 8, "one case per narrow width");
+    return streamNarrow<8, Gather>(Probe, RefBegin, Count);
+  }
+}
+
+template <bool Gather, typename ProbeFn>
+PADX_ALWAYS_INLINE void TraceReplayer::streamWide(ProbeFn &Probe,
+                                                  uint32_t RefBegin,
+                                                  uint32_t NumRefs,
+                                                  uint64_t Count) {
   int64_t *Addr = AddrScratch.data();
+  int64_t *Offset = OffsetScratch.data();
+  const int64_t *Delta = RefDeltaBytes.data() + RefBegin;
+  const uint8_t *Write = RefWrite.data() + RefBegin;
+  const int32_t *const *Table = RefTable.data() + RefBegin;
+  const int64_t *OffsetDelta = RefOffsetDelta.data() + RefBegin;
+  const int64_t *GatherStride = RefGatherStride.data() + RefBegin;
+  for (uint64_t It = 0; It != Count; ++It)
+    for (uint32_t R = 0; R != NumRefs; ++R) {
+      int64_t A = Addr[R];
+      if constexpr (Gather) {
+        if (Table[R]) {
+          A += Table[R][Offset[R]] * GatherStride[R];
+          Offset[R] += OffsetDelta[R];
+        }
+      }
+      Probe(A, RefBegin + R, Write[R]);
+      Addr[R] += Delta[R];
+    }
+}
+
+// Inlined into each replay() so the probe's hit and write-back counters
+// stay locals there, in registers, rather than memory behind the
+// closure that every set-array store might alias.
+template <bool Narrow, typename ProbeFn, typename BlockFn>
+PADX_ALWAYS_INLINE void TraceReplayer::replayImpl(ProbeFn &&Probe,
+                                                  BlockFn &&PerBlock) {
+  const int64_t *Starts = T.Starts.data();
   for (const RecordedTrace::Block &B : T.Blocks) {
     const RecordedTrace::Pattern &Pat = T.Patterns[B.PatternIndex];
     const uint32_t NumRefs = Pat.RefEnd - Pat.RefBegin;
@@ -543,16 +737,32 @@ void TraceReplayer::replayImpl(ProbeFn &&Probe, BlockFn &&PerBlock) {
       int64_t A = S.Base;
       for (uint32_t K = 0; K != Rf.Rank; ++K)
         A += St[K] * S.StrideBytes[K];
-      Addr[R] = A;
+      if (Rf.GatherDim >= 0) {
+        // The gathered dimension's start is a table offset: take it
+        // back out of the address, and fold the dimension's lower bound
+        // in, so an access adds just table[offset] * stride.
+        const int64_t Off = St[Rf.GatherDim];
+        A -= (Off + Rf.GatherLower) * S.StrideBytes[Rf.GatherDim];
+        OffsetScratch[R] = Off;
+      }
+      AddrScratch[R] = A;
       St += Rf.Rank;
     }
     PerBlock(B.PatternIndex, B.Count);
-    const int64_t *Delta = RefDeltaBytes.data() + Pat.RefBegin;
-    for (uint64_t It = 0; It != B.Count; ++It)
-      for (uint32_t R = 0; R != NumRefs; ++R) {
-        Probe(Addr[R], Pat.RefBegin + R);
-        Addr[R] += Delta[R];
+    // Patterns without gathered refs never run the gather loops.
+    if constexpr (Narrow) {
+      if (NumRefs <= kNarrowRefs) {
+        if (Pat.HasGather)
+          streamNarrowAny<true>(Probe, Pat.RefBegin, NumRefs, B.Count);
+        else
+          streamNarrowAny<false>(Probe, Pat.RefBegin, NumRefs, B.Count);
+        continue;
       }
+    }
+    if (Pat.HasGather)
+      streamWide<true>(Probe, Pat.RefBegin, NumRefs, B.Count);
+    else
+      streamWide<false>(Probe, Pat.RefBegin, NumRefs, B.Count);
   }
 }
 
@@ -566,8 +776,8 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
   for (const RecordedTrace::Ref &R : T.Refs)
     MaySpan |= R.ElemSize > Sim.config().LineBytes;
   if (MaySpan) {
-    replayImpl(
-        [&](int64_t Addr, uint32_t RefIndex) {
+    replayImpl</*Narrow=*/false>(
+        [&](int64_t Addr, uint32_t RefIndex, int64_t) {
           const RecordedTrace::Ref &R = T.Refs[RefIndex];
           Sim.access(Addr, R.ElemSize, R.IsWrite);
         },
@@ -578,7 +788,6 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
   // read and write counts are known up front from its pattern, and
   // hits accumulate in a register, so the statistics are settled in
   // bulk instead of through per-access memory traffic.
-  const uint8_t *Write = RefWrite.data();
   uint64_t Hits = 0;
   auto PerBlock = [&](uint32_t PatternIndex, uint64_t Count) {
     const RecordedTrace::Pattern &Pat = T.Patterns[PatternIndex];
@@ -590,26 +799,27 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
     // Direct-mapped (the paper's base configuration): inline the packed
     // probe with the geometry held in locals, so nothing is reloaded
     // across set-array stores. Mirrors CacheSim::accessSetAssoc's
-    // one-way branch exactly, write-backs included.
+    // one-way branch exactly, write-backs included. Only this path
+    // streams narrow patterns through the width-unrolled loop.
     int64_t *Lines = Sim.directLines();
     const int64_t SetMask = Sim.directSetMask();
     const unsigned LineShift = Sim.lineShiftLog2();
     const unsigned SetShift = Sim.setShiftLog2();
     uint64_t WriteBacks = 0;
-    replayImpl(
-        [&](int64_t Addr, uint32_t RefIndex) {
+    replayImpl</*Narrow=*/true>(
+        [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
           const int64_t LineAddr = Addr >> LineShift;
           const int64_t Set = LineAddr & SetMask;
           const int64_t Key = ((LineAddr >> SetShift) << 2) | 1;
-          Hits += sim::CacheSim::probeDirectLane(
-              Lines, Set, Key, Write[RefIndex], WriteBacks);
+          Hits += sim::CacheSim::probeDirectLane(Lines, Set, Key, WriteBit,
+                                                 WriteBacks);
         },
         PerBlock);
     Sim.addWriteBacks(WriteBacks);
   } else {
-    replayImpl(
-        [&](int64_t Addr, uint32_t RefIndex) {
-          Hits += Sim.probeLine(Addr, Write[RefIndex]);
+    replayImpl</*Narrow=*/false>(
+        [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
+          Hits += Sim.probeLine(Addr, WriteBit);
         },
         PerBlock);
   }
@@ -629,15 +839,14 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
   for (const RecordedTrace::Ref &R : T.Refs)
     MaySpan |= R.ElemSize > L1.config().LineBytes;
   if (MaySpan) {
-    replayImpl(
-        [&](int64_t Addr, uint32_t RefIndex) {
+    replayImpl</*Narrow=*/false>(
+        [&](int64_t Addr, uint32_t RefIndex, int64_t) {
           const RecordedTrace::Ref &R = T.Refs[RefIndex];
           H.access(Addr, R.ElemSize, R.IsWrite);
         },
         [](uint32_t, uint64_t) {});
     return T.recordStatus();
   }
-  const uint8_t *Write = RefWrite.data();
   const bool HasTlb = H.hasTlb();
   uint64_t Hits = 0;
   auto PerBlock = [&](uint32_t PatternIndex, uint64_t Count) {
@@ -655,33 +864,31 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
     const unsigned LineShift = L1.lineShiftLog2();
     const unsigned SetShift = L1.setShiftLog2();
     uint64_t WriteBacks = 0;
-    replayImpl(
-        [&](int64_t Addr, uint32_t RefIndex) {
+    replayImpl</*Narrow=*/false>(
+        [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
           if (HasTlb)
-            H.probeTlbs(Addr, Write[RefIndex]);
+            H.probeTlbs(Addr, WriteBit);
           const int64_t LineAddr = Addr >> LineShift;
           const int64_t Set = LineAddr & SetMask;
           const int64_t Key = ((LineAddr >> SetShift) << 2) | 1;
-          if (sim::CacheSim::probeDirectLane(Lines, Set, Key,
-                                             Write[RefIndex],
+          if (sim::CacheSim::probeDirectLane(Lines, Set, Key, WriteBit,
                                              WriteBacks))
             ++Hits;
           else
-            H.forwardMiss(LineAddr << LineShift, Write[RefIndex]);
+            H.forwardMiss(LineAddr << LineShift, WriteBit);
         },
         PerBlock);
     L1.addWriteBacks(WriteBacks);
   } else {
     const unsigned LineShift = L1.lineShiftLog2();
-    replayImpl(
-        [&](int64_t Addr, uint32_t RefIndex) {
+    replayImpl</*Narrow=*/false>(
+        [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
           if (HasTlb)
-            H.probeTlbs(Addr, Write[RefIndex]);
-          if (L1.probeLine(Addr, Write[RefIndex]))
+            H.probeTlbs(Addr, WriteBit);
+          if (L1.probeLine(Addr, WriteBit))
             ++Hits;
           else
-            H.forwardMiss((Addr >> LineShift) << LineShift,
-                          Write[RefIndex]);
+            H.forwardMiss((Addr >> LineShift) << LineShift, WriteBit);
         },
         PerBlock);
   }
@@ -692,8 +899,8 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
 RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
                                TraceSink &Sink) {
   updateRemaps(DL);
-  replayImpl(
-      [&](int64_t Addr, uint32_t RefIndex) {
+  replayImpl</*Narrow=*/false>(
+      [&](int64_t Addr, uint32_t RefIndex, int64_t) {
         const RecordedTrace::Ref &R = T.Refs[RefIndex];
         Sink.access(Addr, R.ElemSize, R.IsWrite);
       },

@@ -22,11 +22,20 @@
 /// accessLine — the per-candidate cost drops from a full IR walk with
 /// affine re-evaluation to one add per access.
 ///
-/// Recording declines programs whose streams are not layout-invariant
-/// or not compressible: indirect (index-array) subscripts, scalar-ref
-/// emission, and pathologically block-heavy traces. Callers fall back
-/// to a fresh TraceRunner in that case; replayed and direct statistics
-/// are bit-identical whenever record() succeeds.
+/// Index-array (gathered) subscripts record too: an index array's
+/// contents are fixed by its initializer, never by the layout, so the
+/// index read is an ordinary affine 4-byte reference and the target's
+/// indirect dimension stores the read's offset into a value table of the
+/// index array's declared contents; replay adds
+/// (table[offset] - lower bound) * stride_bytes per gathered access.
+///
+/// Recording declines what it cannot reproduce under every layout: an
+/// index subscript that leaves its table's declared length (the walk's
+/// IndirectOutOfRange stop point depends on the padded length),
+/// scalar-ref emission, and traces whose blocks and tables would exceed
+/// 256 MiB. Callers fall back to a fresh TraceRunner in that case;
+/// replayed and direct statistics are bit-identical whenever record()
+/// succeeds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,9 +62,9 @@ class TraceReplayer;
 class RecordedTrace {
 public:
   /// Walks \p P once and records its access stream. Returns nullptr when
-  /// the program uses features replay cannot remap layout-independently
-  /// (indirect subscripts, RunOptions::EmitScalarRefs) or the stream is
-  /// too block-heavy to be worth compressing; \p WhyNot, when non-null,
+  /// the stream is not the same under every layout (an index subscript
+  /// outside its declared table, RunOptions::EmitScalarRefs) or too
+  /// block-heavy to be worth compressing; \p WhyNot, when non-null,
   /// receives a one-line reason. \p P must outlive the trace.
   /// RunOptions::MaxAccesses truncates the recording exactly where a
   /// direct TraceRunner would stop.
@@ -76,7 +85,12 @@ public:
   /// Compression statistics (tests, reports).
   size_t numBlocks() const { return Blocks.size(); }
   size_t numPatterns() const { return Patterns.size(); }
+  /// Blocks, patterns, starts and index-array value tables.
   size_t storageBytes() const;
+  /// Recorded refs whose address goes through an index array: one per
+  /// static gathered ref and, in a truncated recording, one per copy of
+  /// such a ref in the tail pattern of the cut iteration.
+  size_t numGatheredRefs() const;
 
   /// Process-unique identity, so per-thread replayers can cache state
   /// keyed by trace without risking stale pointer reuse.
@@ -91,12 +105,18 @@ private:
   /// One static array reference of a pattern. Rank consecutive entries
   /// of Deltas starting at DeltaIndex hold the per-iteration change of
   /// each logical dimension index; block starts use the same layout.
+  /// A gathered ref's dimension GatherDim holds an offset into
+  /// Tables[Table] instead: the dimension's logical index is
+  /// Tables[Table][offset] - GatherLower.
   struct Ref {
     uint32_t ArrayId = 0;
     uint32_t Rank = 0;
     uint32_t DeltaIndex = 0;
     int32_t ElemSize = 0;
     bool IsWrite = false;
+    int32_t GatherDim = -1; ///< -1 for an affine ref.
+    uint32_t Table = 0;
+    int64_t GatherLower = 0;
   };
 
   /// The static reference sequence of one innermost loop body (or a
@@ -106,6 +126,7 @@ private:
     uint32_t RefBegin = 0;
     uint32_t RefEnd = 0;
     uint32_t StartsPerIter = 0; ///< Sum of ranks over the refs.
+    bool HasGather = false;     ///< Some ref is gathered.
   };
 
   struct Block {
@@ -124,6 +145,8 @@ private:
   std::vector<Pattern> Patterns;
   std::vector<Block> Blocks;
   std::vector<int64_t> Starts;
+  /// Per index array read through: its values over its declared length.
+  std::vector<std::vector<int32_t>> Tables;
 };
 
 /// Streams a RecordedTrace through a cache simulator (or any sink) under
@@ -138,8 +161,9 @@ public:
 
   /// Replays into \p Sim via the inlined accessLine hot path (element
   /// accesses that may straddle lines take the general access() route).
-  /// Returns the trace's record status. \p DL must be a layout of the
-  /// recorded program with all bases assigned.
+  /// On a direct-mapped cache, blocks of at most kNarrowRefs refs take
+  /// the width-unrolled loop. Returns the trace's record status. \p DL
+  /// must be a layout of the recorded program with all bases assigned.
   RunStatus replay(const layout::DataLayout &DL, sim::CacheSim &Sim);
 
   /// Replays the exact (Addr, Size, IsWrite) event stream into \p Sink —
@@ -148,9 +172,10 @@ public:
 
   /// Replays into a multi-level hierarchy: the first cache level runs
   /// the same fast inlined probe as the single-level overload (packed
-  /// direct-mapped lane when the geometry allows, bulk-settled stats),
-  /// and only the filtered misses walk the outer levels through
-  /// CacheHierarchy::forwardMiss. TLB levels are probed per access.
+  /// direct-mapped lane when the geometry allows, bulk-settled stats)
+  /// through the general loop only, and only the filtered misses walk
+  /// the outer levels through CacheHierarchy::forwardMiss. TLB levels
+  /// are probed per access.
   /// Statistics are bit-identical to streaming the trace through
   /// CacheHierarchy::access.
   RunStatus replay(const layout::DataLayout &DL,
@@ -181,12 +206,27 @@ private:
     bool Cached = false;
   };
 
-  /// Streams every block; Probe(Addr, RefIndex) per access, and
-  /// BlockFn(PatternIndex, Count) once per block for callers that settle
-  /// bulk statistics blockwise.
-  template <typename ProbeFn, typename BlockFn>
+  /// Streams every block; Probe(Addr, RefIndex, WriteBit) per access,
+  /// and BlockFn(PatternIndex, Count) once per block for callers that
+  /// settle bulk statistics blockwise. With \p Narrow, blocks of at most
+  /// kNarrowRefs refs run a loop unrolled for their width, which keeps
+  /// the running addresses and deltas in registers.
+  template <bool Narrow, typename ProbeFn, typename BlockFn>
   void replayImpl(ProbeFn &&Probe, BlockFn &&PerBlock);
+  /// Inner loops over one block's iterations, from the running state
+  /// replayImpl left in AddrScratch and OffsetScratch; the Gather
+  /// variants run only for patterns with gathered refs.
+  template <bool Gather, typename ProbeFn>
+  void streamNarrowAny(ProbeFn &Probe, uint32_t RefBegin, uint32_t NumRefs,
+                       uint64_t Count);
+  template <unsigned W, bool Gather, typename ProbeFn>
+  void streamNarrow(ProbeFn &Probe, uint32_t RefBegin, uint64_t Count);
+  template <bool Gather, typename ProbeFn>
+  void streamWide(ProbeFn &Probe, uint32_t RefBegin, uint32_t NumRefs,
+                  uint64_t Count);
   void updateRemaps(const layout::DataLayout &DL);
+
+  static constexpr unsigned kNarrowRefs = 8;
 
   const RecordedTrace &T;
   std::vector<SlotRemap> Slots;
@@ -201,8 +241,18 @@ private:
   /// Per RecordedTrace::Ref: byte delta per pattern iteration under the
   /// current layout (reused while the slot's strides are unchanged).
   std::vector<int64_t> RefDeltaBytes;
-  /// Scratch, sized to the widest pattern: current byte address per ref.
+  /// Per gathered ref: its dimension's byte stride under the current
+  /// layout (0 for affine refs; rebuilt with RefDeltaBytes), its value
+  /// table (null for affine refs) and its per-iteration table-offset
+  /// step.
+  std::vector<int64_t> RefGatherStride;
+  std::vector<const int32_t *> RefTable;
+  std::vector<int64_t> RefOffsetDelta;
+  /// Scratch, sized to the widest pattern: current byte address per ref
+  /// (a gathered ref's excludes its gathered dimension) and current
+  /// table offset per gathered ref.
   std::vector<int64_t> AddrScratch;
+  std::vector<int64_t> OffsetScratch;
   /// Per ref, its IsWrite flag densely packed — the hot loop reads one
   /// byte instead of pulling in the whole Ref record.
   std::vector<uint8_t> RefWrite;

@@ -145,32 +145,10 @@ struct TraceRunner::Impl {
     auto It = TableOfArray.find(ArrayId);
     if (It != TableOfArray.end())
       return It->second;
-    const ir::ArrayVariable &V = Prog.array(ArrayId);
-    std::vector<int32_t> Values(
-        static_cast<size_t>(DL.numElements(ArrayId)));
-    switch (V.Init) {
-    case ir::ArrayInitKind::Identity:
-      // Element at logical index lb + i holds lb + i.
-      for (size_t I = 0; I != Values.size(); ++I)
-        Values[I] =
-            static_cast<int32_t>(V.LowerBounds.empty()
-                                     ? static_cast<int64_t>(I)
-                                     : V.LowerBounds[0] +
-                                           static_cast<int64_t>(I));
-      break;
-    case ir::ArrayInitKind::Random: {
-      std::mt19937_64 Rng(V.RandomSeed);
-      std::uniform_int_distribution<int64_t> Dist(V.RandomMin,
-                                                  V.RandomMax);
-      for (int32_t &Val : Values)
-        Val = static_cast<int32_t>(Dist(Rng));
-      break;
-    }
-    case ir::ArrayInitKind::None:
-      assert(false && "indirect read of uninitialized index array");
-      break;
-    }
-    ValueTables.push_back(std::move(Values));
+    assert(Prog.array(ArrayId).Init != ir::ArrayInitKind::None &&
+           "indirect read of uninitialized index array");
+    ValueTables.push_back(
+        indexArrayValues(Prog.array(ArrayId), DL.numElements(ArrayId)));
     int Table = static_cast<int>(ValueTables.size() - 1);
     TableOfArray.emplace(ArrayId, Table);
     return Table;
@@ -374,6 +352,30 @@ struct TraceRunner::Impl {
     }
   }
 };
+
+std::vector<int32_t> exec::indexArrayValues(const ir::ArrayVariable &V,
+                                            int64_t Length) {
+  std::vector<int32_t> Values(static_cast<size_t>(Length));
+  switch (V.Init) {
+  case ir::ArrayInitKind::Identity: {
+    // Element at logical index lb + i holds lb + i.
+    const int64_t Lower = V.LowerBounds.empty() ? 0 : V.LowerBounds[0];
+    for (size_t I = 0; I != Values.size(); ++I)
+      Values[I] = static_cast<int32_t>(Lower + static_cast<int64_t>(I));
+    break;
+  }
+  case ir::ArrayInitKind::Random: {
+    std::mt19937_64 Rng(V.RandomSeed);
+    std::uniform_int_distribution<int64_t> Dist(V.RandomMin, V.RandomMax);
+    for (int32_t &Val : Values)
+      Val = static_cast<int32_t>(Dist(Rng));
+    break;
+  }
+  case ir::ArrayInitKind::None:
+    break;
+  }
+  return Values;
+}
 
 TraceRunner::TraceRunner(const ir::Program &Prog,
                          const layout::DataLayout &DL,

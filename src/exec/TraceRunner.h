@@ -45,6 +45,14 @@ enum class RunStatus {
   IndirectOutOfRange, ///< An index-array subscript left the array.
 };
 
+/// The contents of index array \p V over its first \p Length elements:
+/// identity arrays hold lb + i at element i, random ones the seeded
+/// uniform sequence in [RandomMin, RandomMax]. Each value depends only
+/// on its position, so every prefix is the same whatever \p Length is:
+/// the walk fills the padded length, a recording the declared one.
+std::vector<int32_t> indexArrayValues(const ir::ArrayVariable &V,
+                                      int64_t Length);
+
 class TraceRunner {
 public:
   /// Compiles \p P against \p DL (which must have all bases assigned).

@@ -57,7 +57,8 @@ CostSample sampleOf(const sim::CacheHierarchy &H) {
 } // namespace
 
 void SimulationCostModel::prepareReplay(const ir::Program &P) {
-  Trace = exec::RecordedTrace::record(P);
+  WhyNot.clear();
+  Trace = exec::RecordedTrace::record(P, exec::RunOptions(), &WhyNot);
 }
 
 CostSample SimulationCostModel::evaluate(

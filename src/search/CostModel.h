@@ -54,8 +54,9 @@ struct CostSample {
 /// access stream once; evaluations of that program's layouts then
 /// replay the recorded stream through a per-worker cache simulator — a
 /// tight remap-and-probe loop instead of the walk — with bit-identical
-/// statistics. Programs the recorder declines (indirect subscripts)
-/// keep the direct path transparently.
+/// statistics. Programs the recorder declines (an index subscript
+/// outside its declared table, a trace over the storage cap) keep the
+/// direct path with the same results, and replayDeclined() names why.
 /// A single-cache-level machine replays into the packed one-level
 /// CacheSim probe; a multi-level one replays through a CacheHierarchy,
 /// forwarding only first-level misses.
@@ -70,6 +71,9 @@ public:
   void prepareReplay(const ir::Program &P);
   void prepareReplay(ir::Program &&) = delete;
   bool usingReplay() const { return Trace != nullptr; }
+  /// The recorder's one-line reason when prepareReplay() was declined,
+  /// else empty.
+  const std::string &replayDeclined() const { return WhyNot; }
 
   /// Scores \p DL (lower is better). Thread-safe: the search engine
   /// invokes it concurrently on distinct layouts.
@@ -80,6 +84,7 @@ private:
   /// Shared read-only across the thread pool's workers; each worker
   /// keeps its own TraceReplayer and simulator (thread-local).
   std::shared_ptr<const exec::RecordedTrace> Trace;
+  std::string WhyNot;
 };
 
 /// The pruner: the analytic associativity-lattice conflict predictor

@@ -92,6 +92,9 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
 
   const std::vector<Candidate> &Seeds = Gen.seeds();
   SearchResult R(materialize(P, Seeds[Gen.padSeedIndex()]));
+  if (!Exact.usingReplay())
+    R.Log.push_back("exact scores by the direct walk (replay declined: " +
+                    Exact.replayDeclined() + ")");
 
   // Exact-scores a batch on the pool, one candidate per task; results
   // land by submission index, so reductions below are thread-count

@@ -27,6 +27,11 @@
 /// Forces inlining of small probe helpers the optimizer may otherwise
 /// leave out-of-line at -O2 when they are instantiated many times.
 #define PADX_ALWAYS_INLINE inline __attribute__((always_inline))
+/// The same for a lambda, written after its parameter list. The trace
+/// replayer's probe lambdas need it: each is called from every unrolled
+/// slot of the width-specialized loops, and past the inliner's growth
+/// limits an outlined probe costs a call per simulated access.
+#define PADX_INLINE_LAMBDA __attribute__((always_inline))
 /// No-alias qualifier for the packed direct-mapped set array the trace
 /// replayer probes (CacheSim::probeDirectLane): it never overlaps the
 /// write-back counter the probe updates, and saying so lets the
@@ -36,6 +41,7 @@
 #define PADX_LIKELY(x) (x)
 #define PADX_UNLIKELY(x) (x)
 #define PADX_ALWAYS_INLINE inline
+#define PADX_INLINE_LAMBDA
 #define PADX_RESTRICT
 #endif
 

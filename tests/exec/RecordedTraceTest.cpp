@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The recorded-trace contract: replaying a recording under any layout
-/// produces the exact event stream a fresh TraceRunner walk would, the
-/// compression is block-per-innermost-loop, and programs the format
-/// cannot express (indirect subscripts, scalar emission) are declined
-/// with a reason instead of recorded wrongly.
+/// produces the exact event stream a fresh TraceRunner walk would —
+/// index-array gathers and every loop width included — the compression
+/// is block-per-innermost-loop, and programs the format cannot express
+/// (an index subscript outside its declared table, scalar emission) are
+/// declined with a reason instead of recorded wrongly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +67,25 @@ std::vector<layout::DataLayout> layoutSweep(const ir::Program &P) {
     Out.push_back(search::materialize(P, C));
   }
   return Out;
+}
+
+/// Replays \p T into a CacheSim of each geometry under every layout of
+/// the sweep and compares with a direct walk (the fast probe paths, not
+/// the sink path the event-stream checks take).
+void expectSameSimulation(const ir::Program &P, const RecordedTrace &T,
+                          const std::vector<CacheConfig> &Geometries,
+                          const RunOptions &Opts = {}) {
+  TraceReplayer Replayer(T);
+  for (const CacheConfig &Cfg : Geometries)
+    for (const layout::DataLayout &DL : layoutSweep(P)) {
+      sim::CacheSim Direct(Cfg), Replay(Cfg);
+      CacheSimSink Sink(Direct);
+      TraceRunner Runner(P, DL, Opts);
+      const RunStatus Status = Runner.run(Sink);
+      EXPECT_EQ(Replayer.replay(DL, Replay), Status) << Cfg.describe();
+      EXPECT_EQ(Replay.stats(), Direct.stats())
+          << P.name() << " " << Cfg.describe();
+    }
 }
 
 } // namespace
@@ -189,23 +209,9 @@ loop i = 2, 63 {
 )");
   auto T = RecordedTrace::record(P);
   ASSERT_NE(T, nullptr);
-  for (const CacheConfig &Cfg :
-       {CacheConfig{4096, 32, 1}, CacheConfig{4096, 32, 2},
-        CacheConfig{4096, 32, 0}}) {
-    TraceReplayer Replayer(*T);
-    for (const layout::DataLayout &DL : layoutSweep(P)) {
-      sim::CacheSim Direct(Cfg), Replay(Cfg);
-      CacheSimSink Sink(Direct);
-      TraceRunner Runner(P, DL);
-      Runner.run(Sink);
-      Replayer.replay(DL, Replay);
-      EXPECT_EQ(Replay.stats().Accesses, Direct.stats().Accesses);
-      EXPECT_EQ(Replay.stats().Misses, Direct.stats().Misses);
-      EXPECT_EQ(Replay.stats().Reads, Direct.stats().Reads);
-      EXPECT_EQ(Replay.stats().Writes, Direct.stats().Writes);
-      EXPECT_EQ(Replay.stats().WriteBacks, Direct.stats().WriteBacks);
-    }
-  }
+  expectSameSimulation(P, *T,
+                       {CacheConfig{4096, 32, 1}, CacheConfig{4096, 32, 2},
+                        CacheConfig{4096, 32, 0}});
 }
 
 TEST(RecordedTrace, ElementWiderThanLineTakesSpanningPath) {
@@ -228,9 +234,7 @@ loop i = 1, 32 {
   Runner.run(Sink);
   TraceReplayer Replayer(*T);
   Replayer.replay(DL, Replay);
-  EXPECT_EQ(Replay.stats().Accesses, Direct.stats().Accesses);
-  EXPECT_EQ(Replay.stats().Misses, Direct.stats().Misses);
-  EXPECT_EQ(Replay.stats().WriteBacks, Direct.stats().WriteBacks);
+  EXPECT_EQ(Replay.stats(), Direct.stats());
 }
 
 //===----------------------------------------------------------------------===//
@@ -297,21 +301,220 @@ loop i = 1, 8 {
 }
 
 //===----------------------------------------------------------------------===//
-// Declined programs
+// Gathered (index-array) subscripts
 //===----------------------------------------------------------------------===//
 
-TEST(RecordedTrace, IndirectSubscriptsAreDeclined) {
+TEST(RecordedTrace, GatheredSubscriptsReplayExactly) {
+  // An identity and a seeded random table, a gathered write, and a
+  // subscript running backwards. layoutSweep pads every array, the
+  // index arrays themselves included, and moves their bases.
   ir::Program P = parseOrDie(R"(program p
-array X : real[8]
+array X : real[64]
+array Y : real4[64]
+array IDX : int[32] init identity
+array R : int[32] init random(1, 64, 5)
+loop i = 1, 32 {
+  X[IDX[i]] = X[R[i]] + Y[R[33 - i]]
+}
+)");
+  auto T = RecordedTrace::record(P);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(T->numGatheredRefs(), 3u);
+  // Six accesses per iteration: each gather is an index read plus its
+  // target, as in the walk.
+  EXPECT_EQ(T->numAccesses(), 6u * 32);
+  for (const layout::DataLayout &DL : layoutSweep(P))
+    EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL));
+  expectSameSimulation(P, *T,
+                       {CacheConfig::base16K(), CacheConfig{256, 32, 1},
+                        CacheConfig{256, 32, 2}});
+}
+
+TEST(RecordedTrace, GatheredSecondDimensionOf2DTarget) {
+  // attrs.pad's shape: the indirect subscript is the second dimension,
+  // so its byte stride is the padded column — intra padding of A moves
+  // every gathered address.
+  ir::Program P = parseOrDie(R"(program p
+array A : real[8, 0:9]
+array IDX : int[16] init random(0, 9, 3)
+loop j = 1, 16 {
+  loop i = 1, 8 {
+    A[i, IDX[j]] = A[i, IDX[17 - j]] * 3.5e2
+  }
+}
+)");
+  auto T = RecordedTrace::record(P);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(T->numGatheredRefs(), 2u);
+  for (const layout::DataLayout &DL : layoutSweep(P))
+    EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL));
+  expectSameSimulation(P, *T, {CacheConfig{256, 32, 1}});
+}
+
+TEST(RecordedTrace, MaxAccessesBetweenIndexReadAndTarget) {
+  // Two accesses per iteration (index read, gathered write); an odd cap
+  // ends the recording right after an index read, as the walk ends.
+  ir::Program P = parseOrDie(R"(program p
+array X : real[16]
+array IDX : int[16] init random(1, 16, 9)
+loop i = 1, 16 {
+  X[IDX[i]] = 2.0
+}
+)");
+  RunOptions Opts;
+  Opts.MaxAccesses = 7;
+  auto T = RecordedTrace::record(P, Opts);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(T->recordStatus(), RunStatus::TraceLimitReached);
+  EXPECT_EQ(T->numAccesses(), 7u);
+  for (const layout::DataLayout &DL : layoutSweep(P))
+    EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL, Opts));
+  expectSameSimulation(P, *T, {CacheConfig::base16K()}, Opts);
+}
+
+TEST(RecordedTrace, IndexReadOutsideItsTableIsDeclined) {
+  // IDX[i+7] over 8 elements: the second index read leaves the table.
+  // Under the original layout the walk stops there with
+  // IndirectOutOfRange; with IDX padded it reads the padding instead. No
+  // recording serves both, so recording declines — unless the cap ends
+  // the stream before that read is emitted.
+  ir::Program P = parseOrDie(R"(program p
+array X : real[64]
 array IDX : int[8] init identity
 loop i = 1, 8 {
-  X[IDX[i]] = 2.0
+  X[IDX[i+7]] = 2.0
 }
 )");
   std::string WhyNot;
   EXPECT_EQ(RecordedTrace::record(P, {}, &WhyNot), nullptr);
   EXPECT_NE(WhyNot.find("IDX"), std::string::npos) << WhyNot;
+
+  search::Candidate Padded = search::zeroCandidate(P);
+  Padded.DimPads[1][0] = 8;
+  layout::DataLayout DL = search::materialize(P, Padded);
+  CountSink Sink;
+  EXPECT_EQ(TraceRunner(P, layout::originalLayout(P)).run(Sink),
+            RunStatus::IndirectOutOfRange);
+  EXPECT_EQ(TraceRunner(P, DL).run(Sink), RunStatus::Ok);
+
+  RunOptions Opts;
+  Opts.MaxAccesses = 3; // Iteration 1, then iteration 2's index read.
+  EXPECT_EQ(RecordedTrace::record(P, Opts), nullptr);
+  Opts.MaxAccesses = 2; // Iteration 1 only.
+  auto T = RecordedTrace::record(P, Opts);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL, Opts));
 }
+
+TEST(RecordedTrace, CandidatePaddingTheIndexArray) {
+  // A candidate that lengthens and moves the index array: the walk's
+  // table grows with the padding, the recording's keeps the declared
+  // length, and every subscript stays inside it, so they agree.
+  ir::Program P = parseOrDie(R"(program p
+array X : real[40, 40]
+array IDX : int[40] init random(1, 40, 11)
+loop j = 1, 40 {
+  loop i = 1, 40 {
+    X[IDX[i], j] = X[i, IDX[j]] + 1.0
+  }
+}
+)");
+  auto T = RecordedTrace::record(P);
+  ASSERT_NE(T, nullptr);
+  TraceReplayer Replayer(*T);
+  for (int64_t Pad : {0, 1, 13, 1000}) {
+    search::Candidate C = search::zeroCandidate(P);
+    C.DimPads[1][0] = Pad;
+    C.GapBytes[1] = 4 * Pad;
+    C.DimPads[0][0] = Pad % 7;
+    layout::DataLayout DL = search::materialize(P, C);
+    EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL)) << Pad;
+    sim::CacheSim Direct(CacheConfig::base16K()),
+        Replay(CacheConfig::base16K());
+    CacheSimSink Sink(Direct);
+    TraceRunner(P, DL).run(Sink);
+    Replayer.replay(DL, Replay);
+    EXPECT_EQ(Replay.stats(), Direct.stats()) << "pad " << Pad;
+  }
+}
+
+TEST(RecordedTrace, WideGatheredPatternsReplayExactly) {
+  // Three gathers and five affine refs, 11 refs per iteration: wider
+  // than the width-unrolled loops, so the gather-capable wide loop runs.
+  ir::Program P = parseOrDie(R"(program p
+array X : real[48]
+array Y : real[48]
+array Z : real[48]
+array E : int[45] init random(1, 48, 4)
+loop i = 2, 45 {
+  X[E[i]] = Y[E[i - 1]] + Z[i] + Z[i + 1] + Y[i] + Y[E[i]] + X[i - 1]
+}
+)");
+  auto T = RecordedTrace::record(P);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(T->numGatheredRefs(), 3u);
+  for (const layout::DataLayout &DL : layoutSweep(P))
+    EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL));
+  expectSameSimulation(P, *T,
+                       {CacheConfig{256, 32, 1}, CacheConfig{256, 32, 2}});
+}
+
+//===----------------------------------------------------------------------===//
+// Pattern widths
+//===----------------------------------------------------------------------===//
+
+TEST(RecordedTrace, EveryPatternWidthMatchesDirectSimulation) {
+  // The direct-mapped replay unrolls innermost bodies of up to eight
+  // refs by their width and streams wider ones through the general
+  // loop. Sweep widths 1..9 (plus one gathered variant per width) with
+  // an odd number of blocks of odd length, writes spread through the
+  // body so write-backs count, on the paper's direct-mapped cache, a
+  // small one that thrashes, and a 2-way cache.
+  for (unsigned Width = 1; Width <= 9; ++Width)
+    for (bool Gather : {false, true}) {
+      if (Gather && Width < 2)
+        continue; // A gather is two refs.
+      // Statements of one write and up to two reads; the first write
+      // of the gathered variant goes through IDX (two refs).
+      std::string Body;
+      unsigned Left = Width;
+      for (unsigned Stmt = 0; Left > 0; ++Stmt) {
+        std::string Write = "A[j + " + std::to_string(Stmt % 3) + ", i]";
+        if (Stmt % 2)
+          Write = "B[j]";
+        if (Gather && Stmt == 0)
+          Write = "B[IDX[j]]";
+        Left -= Write == "B[IDX[j]]" ? 2 : 1;
+        std::string Rhs;
+        for (unsigned R = 0; R != 2 && Left > 0; ++R, --Left)
+          Rhs += (Rhs.empty() ? "" : " + ") + std::string("A[j - ") +
+                 std::to_string(R + Stmt % 2) + ", i]";
+        Body += "    " + Write + " = " + (Rhs.empty() ? "1.0" : Rhs) +
+                "\n";
+      }
+      const std::string Src =
+          "program w" + std::to_string(Width) +
+          "\narray A : real[40, 9]\narray B : real[40]\n"
+          "array IDX : int[40] init random(1, 40, " +
+          std::to_string(Width) + ")\nloop i = 1, 7 {\n  loop j = 3, 37 {\n" +
+          Body + "  }\n}\n";
+      ir::Program P = parseOrDie(Src);
+      auto T = RecordedTrace::record(P);
+      ASSERT_NE(T, nullptr) << Src;
+      SCOPED_TRACE(Src);
+      EXPECT_EQ(T->numBlocks(), 7u);
+      EXPECT_EQ(T->numAccesses(), uint64_t(Width) * 35 * 7);
+      for (const layout::DataLayout &DL : layoutSweep(P))
+        EXPECT_EQ(replayTrace(*T, DL), directTrace(P, DL));
+      expectSameSimulation(P, *T,
+                           {CacheConfig::base16K(), CacheConfig{512, 32, 1},
+                            CacheConfig{16 * 1024, 32, 2}});
+    }
+}
+
+//===----------------------------------------------------------------------===//
+// Declined programs
+//===----------------------------------------------------------------------===//
 
 TEST(RecordedTrace, ScalarEmissionIsDeclined) {
   ir::Program P = parseOrDie(R"(program p

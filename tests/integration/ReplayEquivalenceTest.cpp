@@ -11,9 +11,10 @@
 /// TraceRunner + CacheSim walk — across cache geometries, including
 /// MaxAccesses truncation. The same holds for perfbench's
 /// MultiTraceReplayer shim, which scores a whole sweep in one call.
-/// Programs the recorder declines (indirect subscripts) must keep
+/// Index-array gathers replay like any other ref; programs the recorder
+/// declines (an index subscript outside its declared table) must keep
 /// evaluating through the cost model's direct fallback with unchanged
-/// results.
+/// results, and a search over one must say so in its log.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,11 +23,13 @@
 #include "frontend/Parser.h"
 #include "search/Candidate.h"
 #include "search/CostModel.h"
+#include "search/SearchEngine.h"
 
 #include "gtest/gtest.h"
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -100,15 +103,6 @@ SimOutcome directRun(const ir::Program &P,
   return Out;
 }
 
-void expectEqualStats(const sim::CacheStats &A, const sim::CacheStats &B,
-                      const std::string &Context) {
-  EXPECT_EQ(A.Accesses, B.Accesses) << Context;
-  EXPECT_EQ(A.Misses, B.Misses) << Context;
-  EXPECT_EQ(A.Reads, B.Reads) << Context;
-  EXPECT_EQ(A.Writes, B.Writes) << Context;
-  EXPECT_EQ(A.WriteBacks, B.WriteBacks) << Context;
-}
-
 } // namespace
 
 TEST(ReplayEquivalence, CorpusSweepIsBitIdentical) {
@@ -121,14 +115,18 @@ TEST(ReplayEquivalence, CorpusSweepIsBitIdentical) {
   RunOptions Opts;
   Opts.MaxAccesses = kMaxAccesses;
 
+  std::set<std::string> Gathered;
   for (const auto &File : corpusFiles()) {
     ir::Program P = parseFileOrDie(File);
     const std::string Name = File.filename().string();
     std::string WhyNot;
     auto T = RecordedTrace::record(P, Opts, &WhyNot);
+    if (T && T->numGatheredRefs() > 0)
+      Gathered.insert(Name);
     if (!T) {
-      // Declined programs (indirect subscripts) must say why, and the
-      // cost model must transparently keep its direct path.
+      // Declined programs (none in today's corpus: its index subscripts
+      // all stay inside their tables) must say why, and the cost model
+      // must transparently keep its direct path.
       EXPECT_FALSE(WhyNot.empty()) << Name;
       search::SimulationCostModel Replay(MachineModel::base16K());
       Replay.prepareReplay(P);
@@ -157,7 +155,7 @@ TEST(ReplayEquivalence, CorpusSweepIsBitIdentical) {
         sim::CacheSim Sim(Cfg);
         RunStatus Status = Replayer.replay(Layouts[I], Sim);
         EXPECT_EQ(Status, Direct[I].Status) << Name;
-        expectEqualStats(Sim.stats(), Direct[I].Stats, Contexts[I]);
+        EXPECT_EQ(Sim.stats(), Direct[I].Stats) << Contexts[I];
       }
 
       // perfbench's shim: one call over the whole sweep.
@@ -166,10 +164,12 @@ TEST(ReplayEquivalence, CorpusSweepIsBitIdentical) {
       EXPECT_EQ(Shim.replay(Layouts, Stats), Direct.front().Status)
           << Name;
       for (size_t I = 0; I != Layouts.size(); ++I)
-        expectEqualStats(Stats[I], Direct[I].Stats,
-                         Contexts[I] + " (shim)");
+        EXPECT_EQ(Stats[I], Direct[I].Stats) << Contexts[I] << " (shim)";
     }
   }
+  // The corpus's two gather programs record and replay their gathers.
+  EXPECT_TRUE(Gathered.count("gather.pad"));
+  EXPECT_TRUE(Gathered.count("attrs.pad"));
 }
 
 TEST(ReplayEquivalence, UncappedSmallKernelMatchesEndToEnd) {
@@ -187,7 +187,7 @@ TEST(ReplayEquivalence, UncappedSmallKernelMatchesEndToEnd) {
         directRun(P, DL, CacheConfig::base16K(), RunOptions());
     sim::CacheSim Sim(CacheConfig::base16K());
     EXPECT_EQ(Replayer.replay(DL, Sim), RunStatus::Ok);
-    expectEqualStats(Sim.stats(), Direct.Stats, C.key());
+    EXPECT_EQ(Sim.stats(), Direct.Stats) << C.key();
   }
 }
 
@@ -216,4 +216,43 @@ loop i = 1, 8 {
   search::CostSample S = M.evaluate(DL);
   EXPECT_EQ(S.Cost, static_cast<double>(Direct.Stats.Misses));
   EXPECT_EQ(S.Accesses, Direct.Stats.Accesses);
+}
+
+TEST(ReplayEquivalence, DirectWalkScoringIsNamedInSearchLog) {
+  // The same out-of-table program: a search over it scores every
+  // candidate by the direct walk, and its log says so and why.
+  DiagnosticEngine Diags;
+  auto P = frontend::parseProgram(R"(program p
+array X : real[64]
+array IDX : int[8] init identity
+loop i = 1, 8 {
+  X[IDX[i+7]] = 2.0
+}
+)",
+                                  Diags);
+  ASSERT_TRUE(P) << Diags.str();
+  search::SearchOptions Opts;
+  Opts.EvalBudget = 4;
+  search::SearchResult R = search::runSearch(*P, Opts);
+  const std::string Expected = "exact scores by the direct walk";
+  const auto Line =
+      std::find_if(R.Log.begin(), R.Log.end(), [&](const std::string &L) {
+        return L.find(Expected) != std::string::npos;
+      });
+  ASSERT_NE(Line, R.Log.end());
+  EXPECT_NE(Line->find("IDX"), std::string::npos) << *Line;
+
+  // A replayed search carries no such line.
+  auto Q = frontend::parseProgram(R"(program q
+array X : real[64]
+array IDX : int[8] init identity
+loop i = 1, 8 {
+  X[IDX[i]] = 2.0
+}
+)",
+                                  Diags);
+  ASSERT_TRUE(Q) << Diags.str();
+  search::SearchResult S = search::runSearch(*Q, Opts);
+  for (const std::string &L : S.Log)
+    EXPECT_EQ(L.find(Expected), std::string::npos) << L;
 }

@@ -124,23 +124,39 @@ TEST(SingleLevelEquivalence, HierarchySimMatchesCacheSim) {
   // The NAS/SPEC-tier kernels are excluded for time: their single-level
   // sim path is already swept corpus-wide by the replay-equivalence
   // tests, and the hierarchy code they'd exercise is identical.
-  for (auto &[Name, P] : allPrograms()) {
+  struct Case {
+    const std::string *Name;
+    const ir::Program *P;
+    layout::DataLayout DL;
+    expt::MissResult Flat;
+    expt::HierarchyMissResult Hier;
+    sim::MissBreakdown B;
+  };
+  std::vector<std::pair<std::string, ir::Program>> Programs = allPrograms();
+  std::vector<Case> Cases;
+  for (auto &[Name, P] : Programs) {
     const kernels::KernelInfo *K = kernels::findKernel(Name);
     if (K && K->Tier != kernels::Suite::Kernel)
       continue;
-    for (const layout::DataLayout &DL :
-         {layout::originalLayout(P), pad::runPad(P, kCache).Layout}) {
-      expt::MissResult Flat = expt::measureMissRate(P, DL, kCache);
-      expt::HierarchyMissResult Hier =
-          expt::measureHierarchy(P, DL, M, /*Classify=*/true);
-      ASSERT_EQ(Hier.Levels.size(), 1u) << Name;
-      EXPECT_EQ(Hier.Levels[0].Accesses, Flat.Accesses) << Name;
-      EXPECT_EQ(Hier.Levels[0].Misses, Flat.Misses) << Name;
-      // The classified conflict component matches the single-cache
-      // three-Cs classifier bit for bit as well.
-      sim::MissBreakdown B = expt::classifyMisses(P, DL, kCache);
-      EXPECT_EQ(Hier.Levels[0].ConflictMisses, B.Conflict) << Name;
-    }
+    Cases.push_back({&Name, &P, layout::originalLayout(P), {}, {}, {}});
+    Cases.push_back({&Name, &P, pad::runPad(P, kCache).Layout, {}, {}, {}});
+  }
+  // Each (program, layout) case is three full walks; they are
+  // independent, so run them across the cores and check afterwards.
+  expt::parallelFor(Cases.size(), [&](size_t I) {
+    Case &C = Cases[I];
+    C.Flat = expt::measureMissRate(*C.P, C.DL, kCache);
+    C.Hier = expt::measureHierarchy(*C.P, C.DL, M, /*Classify=*/true);
+    C.B = expt::classifyMisses(*C.P, C.DL, kCache);
+  });
+  for (const Case &C : Cases) {
+    const std::string &Name = *C.Name;
+    ASSERT_EQ(C.Hier.Levels.size(), 1u) << Name;
+    EXPECT_EQ(C.Hier.Levels[0].Accesses, C.Flat.Accesses) << Name;
+    EXPECT_EQ(C.Hier.Levels[0].Misses, C.Flat.Misses) << Name;
+    // The classified conflict component matches the single-cache
+    // three-Cs classifier bit for bit as well.
+    EXPECT_EQ(C.Hier.Levels[0].ConflictMisses, C.B.Conflict) << Name;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "ir/Builder.h"
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,12 +22,15 @@ namespace {
 struct Generator {
   std::mt19937_64 Rng;
   ProgramBuilder PB;
+  testing::RandomProgramOptions Opts;
   /// Per array: dimension sizes (element units).
   std::vector<std::vector<int64_t>> Shapes;
   std::vector<unsigned> Ids;
+  /// Index arrays by the extent their values cover.
+  std::map<int64_t, unsigned> IndexArrays;
 
-  explicit Generator(uint64_t Seed)
-      : Rng(Seed), PB("random" + std::to_string(Seed)) {}
+  Generator(uint64_t Seed, const testing::RandomProgramOptions &Opts)
+      : Rng(Seed), PB("random" + std::to_string(Seed)), Opts(Opts) {}
 
   int64_t pick(int64_t Lo, int64_t Hi) {
     std::uniform_int_distribution<int64_t> D(Lo, Hi);
@@ -79,8 +83,40 @@ struct Generator {
           AffineExpr::index("i" + std::to_string(D), 1, Off));
     }
     (void)Depth;
-    return Write ? PB.write(Ids[Array], std::move(Subs))
-                 : PB.read(Ids[Array], std::move(Subs));
+    ArrayRef R = Write ? PB.write(Ids[Array], std::move(Subs))
+                       : PB.read(Ids[Array], std::move(Subs));
+    if (Opts.IndirectSubscripts && pick(0, 3) == 0) {
+      // The dimension's subscript becomes the offset into an index
+      // array of the same extent whose values stay inside it.
+      const unsigned D = static_cast<unsigned>(pick(0, Dims.size() - 1));
+      R.IndirectDim = static_cast<int>(D);
+      R.IndexArrayId = indexArray(Dims[D]);
+    }
+    return R;
+  }
+
+  /// The index array covering extent \p N: N ints, random over [1, N]
+  /// (three in four) or identity.
+  unsigned indexArray(int64_t N) {
+    auto It = IndexArrays.find(N);
+    if (It != IndexArrays.end())
+      return It->second;
+    ArrayVariable V;
+    V.Name = "IDX" + std::to_string(IndexArrays.size());
+    V.ElemSize = 4;
+    V.DimSizes = {N};
+    V.LowerBounds = {1};
+    if (pick(0, 3) == 0) {
+      V.Init = ArrayInitKind::Identity;
+    } else {
+      V.Init = ArrayInitKind::Random;
+      V.RandomMin = 1;
+      V.RandomMax = N;
+      V.RandomSeed = static_cast<uint64_t>(pick(1, 1 << 20));
+    }
+    const unsigned Id = PB.addArray(std::move(V));
+    IndexArrays.emplace(N, Id);
+    return Id;
   }
 
   Program build() {
@@ -137,6 +173,8 @@ struct Generator {
 
 } // namespace
 
-ir::Program padx::testing::generateRandomProgram(uint64_t Seed) {
-  return Generator(Seed).build();
+ir::Program
+padx::testing::generateRandomProgram(uint64_t Seed,
+                                     const RandomProgramOptions &Opts) {
+  return Generator(Seed, Opts).build();
 }

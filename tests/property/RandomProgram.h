@@ -23,8 +23,19 @@
 namespace padx {
 namespace testing {
 
-/// Generates a random program from \p Seed. Same seed, same program.
-ir::Program generateRandomProgram(uint64_t Seed);
+struct RandomProgramOptions {
+  /// Route about one ref in four through a one-level index-array
+  /// subscript: one of its dimensions reads a rank-1 int array (seeded
+  /// random values over that dimension's extent, or identity) at the
+  /// dimension's own loop variable. Off by default, and off draws
+  /// nothing extra, so existing seeds keep their programs.
+  bool IndirectSubscripts = false;
+};
+
+/// Generates a random program from \p Seed. Same seed and options, same
+/// program.
+ir::Program generateRandomProgram(uint64_t Seed,
+                                  const RandomProgramOptions &Opts = {});
 
 } // namespace testing
 } // namespace padx

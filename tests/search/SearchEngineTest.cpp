@@ -241,10 +241,10 @@ TEST(SearchEngine, ReplayAndDirectEvaluationAgreeExactly) {
   // The search scores candidates by replaying a recorded trace; every
   // cost it reports must equal a direct IR walk of the same layout —
   // best, original and PAD, per level — on one and two cache levels,
-  // under worker threads.
+  // under worker threads. IRR replays its index-array gathers.
   for (const MachineModel &M :
        {MachineModel::base16K(), MachineModel::paperL2()}) {
-    for (const char *Name : {"expl", "jacobi", "dgefa"}) {
+    for (const char *Name : {"expl", "jacobi", "dgefa", "irr"}) {
       ir::Program P = smallKernel(Name);
       search::SearchOptions Opts;
       Opts.Machine = M;
