@@ -7,17 +7,20 @@
 /// \file
 /// Measures the record-once / replay-many trace engine against direct
 /// per-candidate tracing on one program. A deterministic sweep of
-/// padding candidates is scored both ways, the per-candidate statistics
-/// are checked for bit-identity, and the wall-clock ratio is reported.
+/// padding candidates is scored both ways through a CacheHierarchy of
+/// the machine, as the search scores them, the per-candidate statistics
+/// of every level are checked for bit-identity, and the wall-clock
+/// ratio is reported.
 /// The sequential replay total is broken down per phase — recording,
 /// remap rebuilds, the probe stream — so BENCH_replay.json tracks where
 /// candidate time actually goes.
 ///
 /// Usage: replay_speedup [--file F.pad | --kernel NAME [--size N]]
-///                       [--candidates N] [--cache BYTES] [--line BYTES]
-///                       [--assoc K] [--reps N]
-///                       [--guard X] [--json PATH]
+///                       [--candidates N] [--machine PRESET|SPEC]
+///                       [--reps N] [--guard X] [--json PATH]
 ///
+/// --machine takes a preset (base16k, the default, paper-l2, skylake,
+/// a64fx) or a spec such as l1:16k/32/1,l2:64k/64/1, as padtool does.
 /// --guard X fails when end-to-end replay speedup over direct tracing
 /// falls below X. The replay loop runs --reps times (default 3) and the
 /// fastest repetition is reported, so the guarded ratio measures the
@@ -36,12 +39,15 @@
 #include "frontend/Parser.h"
 #include "search/Candidate.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,16 +56,14 @@ using namespace padx;
 
 namespace {
 
-struct CandidateStats {
-  uint64_t Accesses = 0;
-  uint64_t Misses = 0;
-  uint64_t WriteBacks = 0;
+/// One candidate's statistics, per level of the machine.
+using CandidateStats = std::vector<sim::CacheStats>;
 
-  bool operator==(const CandidateStats &RHS) const = default;
-};
-
-CandidateStats statsOf(const sim::CacheStats &S) {
-  return {S.Accesses, S.Misses, S.WriteBacks};
+CandidateStats statsOf(const sim::CacheHierarchy &H) {
+  CandidateStats S;
+  for (unsigned I = 0; I != H.numLevels(); ++I)
+    S.push_back(H.stats(I));
+  return S;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -72,10 +76,10 @@ void usage() {
   std::fprintf(stderr,
                "usage: replay_speedup [--file F.pad | --kernel NAME "
                "[--size N]]\n"
-               "                      [--candidates N] [--cache BYTES] "
-               "[--line BYTES]\n"
-               "                      [--assoc K] [--reps N]\n"
-               "                      [--guard X] [--json PATH]\n");
+               "                      [--candidates N] "
+               "[--machine PRESET|SPEC]\n"
+               "                      [--reps N] [--guard X] "
+               "[--json PATH]\n");
   std::exit(1);
 }
 
@@ -101,27 +105,20 @@ std::vector<search::Candidate> makeCandidates(const ir::Program &P,
   return Out;
 }
 
-/// Reports the first diverging candidate between two stat vectors and
-/// returns true when one exists.
-bool reportDivergence(const char *PathName,
+/// Reports the first diverging candidate level between two stat vectors
+/// and returns true when one exists.
+bool reportDivergence(const char *PathName, const MachineModel &Machine,
                       const std::vector<CandidateStats> &Expected,
                       const std::vector<CandidateStats> &Got) {
   for (size_t I = 0; I != Expected.size(); ++I)
-    if (!(Expected[I] == Got[I])) {
-      std::fprintf(stderr,
-                   "error: %s candidate %zu diverged: expected "
-                   "%llu/%llu/%llu got %llu/%llu/%llu "
-                   "(accesses/misses/writebacks)\n",
-                   PathName, I,
-                   static_cast<unsigned long long>(Expected[I].Accesses),
-                   static_cast<unsigned long long>(Expected[I].Misses),
-                   static_cast<unsigned long long>(
-                       Expected[I].WriteBacks),
-                   static_cast<unsigned long long>(Got[I].Accesses),
-                   static_cast<unsigned long long>(Got[I].Misses),
-                   static_cast<unsigned long long>(Got[I].WriteBacks));
-      return true;
-    }
+    for (unsigned L = 0; L != Machine.numLevels(); ++L)
+      if (Expected[I][L] != Got[I][L]) {
+        std::cerr << "error: " << PathName << " candidate " << I
+                  << " diverged at " << Machine.levelName(L)
+                  << ": expected " << Expected[I][L] << " got "
+                  << Got[I][L] << '\n';
+        return true;
+      }
   return false;
 }
 
@@ -140,14 +137,14 @@ struct SequentialRun {
 
 SequentialRun runSequential(const ir::Program &P,
                             const exec::RecordedTrace &Trace,
-                            const CacheConfig &Cache,
+                            const MachineModel &Machine,
                             const std::vector<search::Candidate> &Cands) {
   // prepare() rebuilds the remaps so the replay right after hits the
   // all-cached path — the split is candidate materialization vs remap
   // rebuild vs the probe stream.
   SequentialRun Run;
   exec::TraceReplayer Replayer(Trace);
-  sim::CacheSim Sim(Cache);
+  sim::CacheHierarchy H(Machine);
   Run.Stats.reserve(Cands.size());
   for (const search::Candidate &C : Cands) {
     const auto T0 = Clock::now();
@@ -155,9 +152,9 @@ SequentialRun runSequential(const ir::Program &P,
     const auto T1 = Clock::now();
     Replayer.prepare(DL);
     const auto T2 = Clock::now();
-    Sim.reset();
-    Replayer.replay(DL, Sim);
-    Run.Stats.push_back(statsOf(Sim.stats()));
+    H.reset();
+    Replayer.replay(DL, H);
+    Run.Stats.push_back(statsOf(H));
     const auto T3 = Clock::now();
     Run.MaterializeSecs +=
         std::chrono::duration<double>(T1 - T0).count();
@@ -174,7 +171,7 @@ int main(int argc, char **argv) {
   std::string File, Kernel, JsonPath;
   int64_t Size = 0;
   unsigned Candidates = 32;
-  CacheConfig Cache = CacheConfig::base16K();
+  MachineModel Machine = MachineModel::base16K();
   double Guard = 0;
   unsigned Reps = 3;
 
@@ -185,22 +182,34 @@ int main(int argc, char **argv) {
         usage();
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) -> T {
+      const char *Text = Next();
+      if (std::optional<T> V = parseInteger<T>(Text, Min, Max))
+        return *V;
+      std::fprintf(stderr, "error: %s takes an integer in [%s, %s], "
+                           "got '%s'\n",
+                   Arg.c_str(), std::to_string(Min).c_str(),
+                   std::to_string(Max).c_str(), Text);
+      std::exit(1);
+    };
+    constexpr unsigned UMax = std::numeric_limits<unsigned>::max();
     if (Arg == "--file")
       File = Next();
     else if (Arg == "--kernel")
       Kernel = Next();
     else if (Arg == "--size")
-      Size = std::atoll(Next());
+      Size = NextInt(int64_t(0), std::numeric_limits<int64_t>::max());
     else if (Arg == "--candidates")
-      Candidates = static_cast<unsigned>(std::atoi(Next()));
-    else if (Arg == "--cache")
-      Cache.SizeBytes = std::atoll(Next());
-    else if (Arg == "--line")
-      Cache.LineBytes = std::atoll(Next());
-    else if (Arg == "--assoc")
-      Cache.Associativity = std::atoi(Next());
-    else if (Arg == "--reps")
-      Reps = static_cast<unsigned>(std::atoi(Next()));
+      Candidates = NextInt(1u, UMax);
+    else if (Arg == "--machine") {
+      std::string Error;
+      if (!MachineModel::parse(Next(), Machine, &Error)) {
+        std::fprintf(stderr, "error: --machine: %s\n", Error.c_str());
+        return 1;
+      }
+    } else if (Arg == "--reps")
+      Reps = NextInt(1u, UMax);
     else if (Arg == "--guard")
       Guard = std::atof(Next());
     else if (Arg == "--json")
@@ -208,16 +217,8 @@ int main(int argc, char **argv) {
     else
       usage();
   }
-  if (File.empty() == Kernel.empty() || Candidates == 0)
+  if (File.empty() == Kernel.empty())
     usage();
-  if (Reps < 1) {
-    std::fprintf(stderr, "error: --reps must be at least 1\n");
-    return 1;
-  }
-  if (!Cache.isValid()) {
-    std::fprintf(stderr, "error: invalid cache geometry\n");
-    return 1;
-  }
 
   std::optional<ir::Program> P;
   std::string Name;
@@ -256,11 +257,11 @@ int main(int argc, char **argv) {
   const auto DirectStart = Clock::now();
   for (const search::Candidate &C : Cands) {
     layout::DataLayout DL = search::materialize(*P, C);
-    sim::CacheSim Sim(Cache);
-    exec::CacheSimSink Sink(Sim);
+    sim::CacheHierarchy H(Machine);
+    exec::HierarchySink Sink(H);
     exec::TraceRunner Runner(*P, DL);
     Runner.run(Sink);
-    Direct.push_back(statsOf(Sim.stats()));
+    Direct.push_back(statsOf(H));
   }
   const double DirectSecs = secondsSince(DirectStart);
 
@@ -280,7 +281,7 @@ int main(int argc, char **argv) {
   // pass uses a fresh replayer, so remap counters are per pass).
   SequentialRun Seq;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-    SequentialRun Run = runSequential(*P, *Trace, Cache, Cands);
+    SequentialRun Run = runSequential(*P, *Trace, Machine, Cands);
     if (Rep == 0 || Run.total() < Seq.total())
       Seq = std::move(Run);
   }
@@ -291,7 +292,7 @@ int main(int argc, char **argv) {
   const double ReplaySecs = RecordSecs + SeqLoopSecs;
   const exec::TraceReplayer::RemapStats &Remaps = Seq.Remaps;
 
-  if (reportDivergence("sequential replay", Direct, Seq.Stats))
+  if (reportDivergence("sequential replay", Machine, Direct, Seq.Stats))
     return 2;
 
   const double Speedup = ReplaySecs > 0 ? DirectSecs / ReplaySecs : 0.0;
@@ -299,7 +300,7 @@ int main(int argc, char **argv) {
       SeqLoopSecs > 0 ? Cands.size() / SeqLoopSecs : 0.0;
 
   std::printf("replay speedup: %s, %u candidates, %s\n", Name.c_str(),
-              Candidates, Cache.describe().c_str());
+              Candidates, Machine.describe().c_str());
   std::printf("  trace: %llu accesses in %zu blocks / %zu patterns "
               "(%zu KiB)\n",
               static_cast<unsigned long long>(Trace->numAccesses()),
@@ -329,7 +330,7 @@ int main(int argc, char **argv) {
     J.beginObject();
     J.field("bench", "replay_speedup");
     J.field("program", Name);
-    J.field("cache", Cache.describe());
+    J.field("machine", Machine.describe());
     J.field("candidates", Candidates);
     J.field("reps", Reps);
     J.field("trace_accesses", Trace->numAccesses());

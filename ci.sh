@@ -78,6 +78,11 @@ build/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
 build/bench/replay_speedup --kernel irr --size 5000 \
   --candidates 32 --reps 5 --guard 1.0 \
   --json build/BENCH_replay_irr.json
+# The forwarding path: on paper-l2 replay probes the L1 and hands only
+# its misses to the L2, so this run holds that path to the same guard.
+build/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
+  --machine paper-l2 --candidates 32 --reps 5 --guard 1.0 \
+  --json build/BENCH_replay_l2.json
 build/bench/search_vs_pad --budget 24 --threads 2 --seed 1 jacobi \
   --json build/BENCH_search.json
 

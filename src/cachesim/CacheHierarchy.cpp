@@ -35,24 +35,24 @@ CacheHierarchy::CacheHierarchy(const MachineModel &Machine)
 
 void CacheHierarchy::access(int64_t Addr, int64_t Size, bool IsWrite) {
   // TLB levels translate the whole access: probe once per page spanned,
-  // independent of how the cache chain fares.
+  // independent of how the cache chain fares. Pages and lines are
+  // numbered by arithmetic shifts, as in CacheSim, so an address below
+  // zero falls in the page or line that holds it.
   for (unsigned I : Tlbs) {
-    int64_t PageBytes = Sims[I].config().LineBytes;
-    int64_t First = Addr / PageBytes;
-    int64_t Last = (Addr + Size - 1) / PageBytes;
-    for (int64_t Pg = First; Pg <= Last; ++Pg)
-      Sims[I].accessLine(Pg * PageBytes, IsWrite);
+    const unsigned PageShift = Sims[I].lineShiftLog2();
+    const int64_t Last = (Addr + Size - 1) >> PageShift;
+    for (int64_t Pg = Addr >> PageShift; Pg <= Last; ++Pg)
+      Sims[I].accessLine(Pg << PageShift, IsWrite);
   }
 
   // Split at the innermost cache level's line granularity so per-level
   // propagation stays line-by-line; each deeper level re-derives its
   // own (longer) line from the address, which is what makes the fill
   // line-size-aware.
-  int64_t LineBytes = Sims[Chain.front()].config().LineBytes;
-  int64_t First = Addr / LineBytes;
-  int64_t Last = (Addr + Size - 1) / LineBytes;
-  for (int64_t L = First; L <= Last; ++L) {
-    int64_t LineAddr = L * LineBytes;
+  const unsigned LineShift = Sims[Chain.front()].lineShiftLog2();
+  const int64_t Last = (Addr + Size - 1) >> LineShift;
+  for (int64_t L = Addr >> LineShift; L <= Last; ++L) {
+    const int64_t LineAddr = L << LineShift;
     if (!Sims[Chain.front()].accessLine(LineAddr, IsWrite))
       forwardMiss(LineAddr, IsWrite);
   }
@@ -61,7 +61,6 @@ void CacheHierarchy::access(int64_t Addr, int64_t Size, bool IsWrite) {
 void CacheHierarchy::reset() {
   for (CacheSim &Level : Sims)
     Level.reset();
-  MemoryAccesses = 0;
 }
 
 HierarchyClassifier::HierarchyClassifier(const MachineModel &Machine)
@@ -79,11 +78,11 @@ void HierarchyClassifier::access(int64_t Addr, int64_t Size,
   for (unsigned I : Tlbs)
     Levels[I].access(Addr, Size, IsWrite);
 
-  int64_t LineBytes = Levels[Chain.front()].target().config().LineBytes;
-  int64_t First = Addr / LineBytes;
-  int64_t Last = (Addr + Size - 1) / LineBytes;
-  for (int64_t L = First; L <= Last; ++L) {
-    int64_t LineAddr = L * LineBytes;
+  const unsigned LineShift =
+      Levels[Chain.front()].target().lineShiftLog2();
+  const int64_t Last = (Addr + Size - 1) >> LineShift;
+  for (int64_t L = Addr >> LineShift; L <= Last; ++L) {
+    const int64_t LineAddr = L << LineShift;
     for (unsigned I : Chain)
       if (Levels[I].accessLine(LineAddr, IsWrite))
         break;

@@ -59,8 +59,9 @@ public:
   }
   const MachineModel &machine() const { return Machine; }
 
-  /// Raw simulator of one level — the hierarchy replayer runs the first
-  /// cache level's packed probe itself and settles its stats in bulk.
+  /// Raw simulator of one level — the trace replayer probes the first
+  /// cache level itself, settles its stats in bulk, and hands only its
+  /// misses to forwardMiss.
   CacheSim &sim(unsigned Level) { return Sims[Level]; }
 
   /// Index (into levels) of the innermost non-TLB level.
@@ -68,13 +69,12 @@ public:
 
   /// Replay hook: one line (addressed in bytes, at the first cache
   /// level's granularity) already missed the first cache level; probe
-  /// the rest of the chain and count a memory access if every level
-  /// misses. Mirrors the tail of access().
+  /// the rest of the chain until a level hits. Mirrors the tail of
+  /// access().
   void forwardMiss(int64_t LineAddr, bool IsWrite) {
     for (size_t I = 1; I < Chain.size(); ++I)
       if (Sims[Chain[I]].accessLine(LineAddr, IsWrite))
         return;
-    ++MemoryAccesses;
   }
 
   /// Replay hook: probe every TLB level for the page containing
@@ -87,8 +87,9 @@ public:
 
   bool hasTlb() const { return !Tlbs.empty(); }
 
-  /// Accesses that missed every cache level.
-  uint64_t memoryAccesses() const { return MemoryAccesses; }
+  /// Accesses that missed every cache level: the outermost level sees
+  /// exactly the misses of the level inside it, so these are its misses.
+  uint64_t memoryAccesses() const { return stats(Chain.back()).Misses; }
 
   void reset();
 
@@ -98,7 +99,6 @@ private:
   /// Indices of non-TLB levels, in chain order, then of TLB levels.
   std::vector<unsigned> Chain;
   std::vector<unsigned> Tlbs;
-  uint64_t MemoryAccesses = 0;
 };
 
 /// Per-level three-Cs classification for a machine: a MissClassifier

@@ -107,28 +107,28 @@ public:
   /// members — an int64 store may alias them as far as TBAA knows — so
   /// the replayer copies these into locals and probes the array
   /// directly, settling statistics afterwards through addAccessCounts /
-  /// addMisses / addWriteBacks. The packing invariant lives in
-  /// accessSetAssoc; keep the two in sync.
+  /// addMisses / addWriteBacks.
   int64_t *directLines() { return DirectLine.data(); }
   int64_t directSetMask() const { return NumSets - 1; }
   unsigned lineShiftLog2() const { return LineShift; }
   unsigned setShiftLog2() const { return SetShift; }
 
-  /// One probe against an externalized packed direct-mapped set array
-  /// (a CacheSim's directLines()), for the trace replayer's single-level
-  /// and hierarchy hot loops. \p Set and \p Key are precomputed by the
-  /// caller from its register-resident geometry:
+  /// One probe of a packed direct-mapped set array: the only definition
+  /// of that state, used by accessSetAssoc's one-way branch and by the
+  /// trace replayer's first-level core on a CacheSim's directLines().
+  /// One way means no replacement decision, so a set packs into one
+  /// word, (tag << 2) | (dirty << 1) | valid, and the probe is one load
+  /// and one compare. Tags may be negative (traces can address below a
+  /// base), which is why valid gets an explicit bit instead of a
+  /// sentinel tag. \p Set and \p Key come from the line address:
   ///   LineAddr = Addr >> lineShiftLog2()
   ///   Set      = LineAddr & directSetMask()
   ///   Key      = ((LineAddr >> setShiftLog2()) << 2) | 1
   /// \p WriteBit must be 0 or 1. Returns true on hit and accumulates
-  /// evicted-dirty write-backs into \p WriteBacks; the caller settles
-  /// bulk statistics afterwards (addAccessCounts / addMisses /
-  /// addWriteBacks). This mirrors the Ways == 1 branch of accessSetAssoc
-  /// bit-for-bit — including the skipped store on read hits, which keeps
-  /// repeated probes of a hot set off the store-to-load forwarding path —
-  /// and is the single definition both replay loops inline, so the packing
-  /// invariant lives in exactly two places: accessSetAssoc and here.
+  /// evicted-dirty write-backs into \p WriteBacks. A read hit stores
+  /// nothing: read hits are the bulk of every trace, and skipping their
+  /// read-modify-write keeps repeated probes of a hot set off the
+  /// store-to-load forwarding path.
   static PADX_ALWAYS_INLINE bool
   probeDirectLane(int64_t *PADX_RESTRICT Lines, int64_t Set, int64_t Key,
                   int64_t WriteBit, uint64_t &WriteBacks) {
@@ -153,28 +153,11 @@ private:
     int64_t Set = LineAddr & (NumSets - 1);
     int64_t Tag = LineAddr >> SetShift;
 
-    // Direct mapped (the paper's base configuration): one way means no
-    // replacement decision, so the whole set state packs into a single
-    // word — (tag << 2) | (dirty << 1) | valid — and the probe is one
-    // load and one compare. Tags may be negative (traces can address
-    // below a base), which is why valid gets an explicit bit instead of
-    // a sentinel tag.
-    if (Ways == 1) {
-      int64_t &P = DirectLine[static_cast<size_t>(Set)];
-      const int64_t Key = (Tag << 2) | 1;
-      if ((P | 2) == (Key | 2)) {
-        // Store only when the dirty bit actually changes: read hits are
-        // the bulk of every trace, and skipping their read-modify-write
-        // keeps repeated probes of a hot set from serializing on
-        // store-to-load forwarding.
-        if (IsWrite)
-          P |= 2;
-        return true;
-      }
-      Stats.WriteBacks += (P >> 1) & 1;
-      P = Key | (static_cast<int64_t>(IsWrite) << 1);
-      return false;
-    }
+    // Direct mapped (the paper's base configuration): the packed
+    // one-word-per-set state of probeDirectLane.
+    if (Ways == 1)
+      return probeDirectLane(DirectLine.data(), Set, (Tag << 2) | 1,
+                             IsWrite, Stats.WriteBacks);
 
     Entry *SetBase = &Entries[static_cast<size_t>(Set) * Ways];
     ++Clock;

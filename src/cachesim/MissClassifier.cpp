@@ -11,7 +11,7 @@ using namespace padx::sim;
 
 bool MissClassifier::accessLine(int64_t Addr, bool IsWrite) {
   ++Breakdown.Accesses;
-  int64_t Line = Addr / Target.config().LineBytes;
+  int64_t Line = Addr >> Target.lineShiftLog2();
   bool FirstTouch = Touched.insert(Line).second;
   bool TargetHit = Target.accessLine(Addr, IsWrite);
   bool FullyHit = Fully.accessLine(Addr, IsWrite);
@@ -29,12 +29,13 @@ bool MissClassifier::accessLine(int64_t Addr, bool IsWrite) {
 }
 
 bool MissClassifier::access(int64_t Addr, int64_t Size, bool IsWrite) {
-  int64_t LineBytes = Target.config().LineBytes;
-  int64_t First = Addr / LineBytes;
-  int64_t Last = (Addr + Size - 1) / LineBytes;
+  // Lines are numbered by arithmetic shifts, as in CacheSim, so an
+  // address below zero falls in the line that holds it.
+  const unsigned LineShift = Target.lineShiftLog2();
+  const int64_t Last = (Addr + Size - 1) >> LineShift;
   bool AllHit = true;
-  for (int64_t L = First; L <= Last; ++L)
-    AllHit &= accessLine(L * LineBytes, IsWrite);
+  for (int64_t L = Addr >> LineShift; L <= Last; ++L)
+    AllHit &= accessLine(L << LineShift, IsWrite);
   return AllHit;
 }
 

@@ -720,9 +720,9 @@ PADX_ALWAYS_INLINE void TraceReplayer::streamWide(ProbeFn &Probe,
     }
 }
 
-// Inlined into each replay() so the probe's hit and write-back counters
-// stay locals there, in registers, rather than memory behind the
-// closure that every set-array store might alias.
+// Inlined into its callers so the probe's hit and write-back counters
+// stay locals of replayFirstLevel, in registers, rather than memory
+// behind the closure that every set-array store might alias.
 template <bool Narrow, typename ProbeFn, typename BlockFn>
 PADX_ALWAYS_INLINE void TraceReplayer::replayImpl(ProbeFn &&Probe,
                                                   BlockFn &&PerBlock) {
@@ -766,28 +766,26 @@ PADX_ALWAYS_INLINE void TraceReplayer::replayImpl(ProbeFn &&Probe,
   }
 }
 
-RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
-                                sim::CacheSim &Sim) {
-  updateRemaps(DL);
+bool TraceReplayer::maySpanLines(const sim::CacheSim &Sim) const {
   // Bases are element-aligned, so an element access can only straddle a
-  // line boundary when its element is wider than a line; take the
-  // general multi-line path in that (degenerate) geometry.
-  bool MaySpan = false;
+  // line boundary when its element is wider than a line.
   for (const RecordedTrace::Ref &R : T.Refs)
-    MaySpan |= R.ElemSize > Sim.config().LineBytes;
-  if (MaySpan) {
-    replayImpl</*Narrow=*/false>(
-        [&](int64_t Addr, uint32_t RefIndex, int64_t) {
-          const RecordedTrace::Ref &R = T.Refs[RefIndex];
-          Sim.access(Addr, R.ElemSize, R.IsWrite);
-        },
-        [](uint32_t, uint64_t) {});
-    return T.recordStatus();
-  }
-  // Hot path: probe without per-access tallies; each block's access,
-  // read and write counts are known up front from its pattern, and
-  // hits accumulate in a register, so the statistics are settled in
-  // bulk instead of through per-access memory traffic.
+    if (R.ElemSize > Sim.config().LineBytes)
+      return true;
+  return false;
+}
+
+template <typename BeforeProbeFn, typename OnMissFn>
+RunStatus TraceReplayer::replayFirstLevel(const layout::DataLayout &DL,
+                                          sim::CacheSim &Sim,
+                                          BeforeProbeFn &&BeforeProbe,
+                                          OnMissFn &&OnMiss) {
+  updateRemaps(DL);
+  // Probe without per-access tallies; each block's access, read and
+  // write counts are known up front from its pattern, and hits
+  // accumulate in a register, so the statistics are settled in bulk
+  // instead of through per-access memory traffic. A miss hands the
+  // missed line, in bytes, to OnMiss.
   uint64_t Hits = 0;
   auto PerBlock = [&](uint32_t PatternIndex, uint64_t Count) {
     const RecordedTrace::Pattern &Pat = T.Patterns[PatternIndex];
@@ -795,31 +793,38 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
     const uint64_t Total = Count * (Pat.RefEnd - Pat.RefBegin);
     Sim.addAccessCounts(Total - Writes, Writes);
   };
+  const unsigned LineShift = Sim.lineShiftLog2();
   if (Sim.isDirectMapped()) {
     // Direct-mapped (the paper's base configuration): inline the packed
     // probe with the geometry held in locals, so nothing is reloaded
-    // across set-array stores. Mirrors CacheSim::accessSetAssoc's
-    // one-way branch exactly, write-backs included. Only this path
-    // streams narrow patterns through the width-unrolled loop.
+    // across set-array stores, and stream narrow patterns through the
+    // width-unrolled loop.
     int64_t *Lines = Sim.directLines();
     const int64_t SetMask = Sim.directSetMask();
-    const unsigned LineShift = Sim.lineShiftLog2();
     const unsigned SetShift = Sim.setShiftLog2();
     uint64_t WriteBacks = 0;
     replayImpl</*Narrow=*/true>(
         [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
+          BeforeProbe(Addr, WriteBit);
           const int64_t LineAddr = Addr >> LineShift;
           const int64_t Set = LineAddr & SetMask;
           const int64_t Key = ((LineAddr >> SetShift) << 2) | 1;
-          Hits += sim::CacheSim::probeDirectLane(Lines, Set, Key, WriteBit,
-                                                 WriteBacks);
+          const bool Hit = sim::CacheSim::probeDirectLane(
+              Lines, Set, Key, WriteBit, WriteBacks);
+          Hits += Hit;
+          if (!Hit)
+            OnMiss(LineAddr << LineShift, WriteBit);
         },
         PerBlock);
     Sim.addWriteBacks(WriteBacks);
   } else {
     replayImpl</*Narrow=*/false>(
         [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
-          Hits += Sim.probeLine(Addr, WriteBit);
+          BeforeProbe(Addr, WriteBit);
+          const bool Hit = Sim.probeLine(Addr, WriteBit);
+          Hits += Hit;
+          if (!Hit)
+            OnMiss((Addr >> LineShift) << LineShift, WriteBit);
         },
         PerBlock);
   }
@@ -828,76 +833,42 @@ RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
 }
 
 RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
-                                sim::CacheHierarchy &H) {
-  updateRemaps(DL);
-  sim::CacheSim &L1 = H.sim(H.firstCacheLevel());
-  // The fast path assumes an element access touches exactly one first-
-  // level line (and, when a TLB is present, one page — pages are never
-  // shorter than cache lines in a valid machine). Wider elements take
-  // the general per-access hierarchy route.
-  bool MaySpan = false;
-  for (const RecordedTrace::Ref &R : T.Refs)
-    MaySpan |= R.ElemSize > L1.config().LineBytes;
-  if (MaySpan) {
-    replayImpl</*Narrow=*/false>(
-        [&](int64_t Addr, uint32_t RefIndex, int64_t) {
-          const RecordedTrace::Ref &R = T.Refs[RefIndex];
-          H.access(Addr, R.ElemSize, R.IsWrite);
-        },
-        [](uint32_t, uint64_t) {});
-    return T.recordStatus();
+                                sim::CacheSim &Sim) {
+  if (maySpanLines(Sim)) {
+    CacheSimSink Sink(Sim);
+    return replay(DL, Sink);
   }
-  const bool HasTlb = H.hasTlb();
-  uint64_t Hits = 0;
-  auto PerBlock = [&](uint32_t PatternIndex, uint64_t Count) {
-    const RecordedTrace::Pattern &Pat = T.Patterns[PatternIndex];
-    const uint64_t Writes = Count * PatternWrites[PatternIndex];
-    const uint64_t Total = Count * (Pat.RefEnd - Pat.RefBegin);
-    L1.addAccessCounts(Total - Writes, Writes);
-  };
-  if (L1.isDirectMapped()) {
-    // Same register-resident packed probe as the single-level replay;
-    // the downstream walk happens only on the filtered misses, so a
-    // well-padded candidate pays almost nothing for its outer levels.
-    int64_t *Lines = L1.directLines();
-    const int64_t SetMask = L1.directSetMask();
-    const unsigned LineShift = L1.lineShiftLog2();
-    const unsigned SetShift = L1.setShiftLog2();
-    uint64_t WriteBacks = 0;
-    replayImpl</*Narrow=*/false>(
-        [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
-          if (HasTlb)
-            H.probeTlbs(Addr, WriteBit);
-          const int64_t LineAddr = Addr >> LineShift;
-          const int64_t Set = LineAddr & SetMask;
-          const int64_t Key = ((LineAddr >> SetShift) << 2) | 1;
-          if (sim::CacheSim::probeDirectLane(Lines, Set, Key, WriteBit,
-                                             WriteBacks))
-            ++Hits;
-          else
-            H.forwardMiss(LineAddr << LineShift, WriteBit);
-        },
-        PerBlock);
-    L1.addWriteBacks(WriteBacks);
-  } else {
-    const unsigned LineShift = L1.lineShiftLog2();
-    replayImpl</*Narrow=*/false>(
-        [&](int64_t Addr, uint32_t, int64_t WriteBit) PADX_INLINE_LAMBDA {
-          if (HasTlb)
-            H.probeTlbs(Addr, WriteBit);
-          if (L1.probeLine(Addr, WriteBit))
-            ++Hits;
-          else
-            H.forwardMiss((Addr >> LineShift) << LineShift, WriteBit);
-        },
-        PerBlock);
-  }
-  L1.addMisses(T.numAccesses() - Hits);
-  return T.recordStatus();
+  auto None = [](int64_t, int64_t) {};
+  return replayFirstLevel(DL, Sim, None, None);
 }
 
 RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
-                               TraceSink &Sink) {
+                                sim::CacheHierarchy &H) {
+  // A lone cache level has nothing to forward to.
+  if (H.numLevels() == 1)
+    return replay(DL, H.sim(0));
+  sim::CacheSim &L1 = H.sim(H.firstCacheLevel());
+  // The probes assume an element access touches exactly one first-level
+  // line (and, with a TLB, one page: pages are never shorter than cache
+  // lines in a valid machine).
+  if (maySpanLines(L1)) {
+    HierarchySink Sink(H);
+    return replay(DL, Sink);
+  }
+  const bool HasTlb = H.hasTlb();
+  return replayFirstLevel(
+      DL, L1,
+      [&H, HasTlb](int64_t Addr, int64_t WriteBit) {
+        if (HasTlb)
+          H.probeTlbs(Addr, WriteBit);
+      },
+      [&H](int64_t LineAddr, int64_t WriteBit) {
+        H.forwardMiss(LineAddr, WriteBit);
+      });
+}
+
+RunStatus TraceReplayer::replay(const layout::DataLayout &DL,
+                                TraceSink &Sink) {
   updateRemaps(DL);
   replayImpl</*Narrow=*/false>(
       [&](int64_t Addr, uint32_t RefIndex, int64_t) {

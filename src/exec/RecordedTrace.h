@@ -159,23 +159,22 @@ class TraceReplayer {
 public:
   explicit TraceReplayer(const RecordedTrace &Trace);
 
-  /// Replays into \p Sim via the inlined accessLine hot path (element
-  /// accesses that may straddle lines take the general access() route).
-  /// On a direct-mapped cache, blocks of at most kNarrowRefs refs take
-  /// the width-unrolled loop. Returns the trace's record status. \p DL
+  /// Replays into \p Sim through the first-level core below with no
+  /// hooks (when an element may straddle lines, every access takes
+  /// CacheSim::access instead). Returns the trace's record status. \p DL
   /// must be a layout of the recorded program with all bases assigned.
   RunStatus replay(const layout::DataLayout &DL, sim::CacheSim &Sim);
 
   /// Replays the exact (Addr, Size, IsWrite) event stream into \p Sink —
-  /// the slow path used by equivalence tests.
+  /// the slow path used by equivalence tests, and by the simulator
+  /// overloads when an element may straddle lines.
   RunStatus replay(const layout::DataLayout &DL, TraceSink &Sink);
 
-  /// Replays into a multi-level hierarchy: the first cache level runs
-  /// the same fast inlined probe as the single-level overload (packed
-  /// direct-mapped lane when the geometry allows, bulk-settled stats)
-  /// through the general loop only, and only the filtered misses walk
-  /// the outer levels through CacheHierarchy::forwardMiss. TLB levels
-  /// are probed per access.
+  /// Replays into a hierarchy through the same first-level core: TLB
+  /// levels are probed before each first-level probe, and only the
+  /// first level's misses walk the outer levels, through
+  /// CacheHierarchy::forwardMiss. A hierarchy of one cache level and no
+  /// TLB replays exactly like the CacheSim overload on that level.
   /// Statistics are bit-identical to streaming the trace through
   /// CacheHierarchy::access.
   RunStatus replay(const layout::DataLayout &DL,
@@ -206,6 +205,21 @@ private:
     bool Cached = false;
   };
 
+  /// The one first-level core both simulator overloads run: probes
+  /// \p Sim per access, with its geometry in locals, and settles its
+  /// statistics in bulk. BeforeProbe(Addr, WriteBit) runs before each
+  /// probe and OnMiss(LineAddr, WriteBit) after each miss, with the
+  /// missed line in bytes; empty hooks compile to the plain single-level
+  /// loop. A direct-mapped \p Sim probes the packed set array and takes
+  /// the width-unrolled loop; other geometries probe through
+  /// CacheSim::probeLine in the general loop.
+  template <typename BeforeProbeFn, typename OnMissFn>
+  RunStatus replayFirstLevel(const layout::DataLayout &DL,
+                             sim::CacheSim &Sim, BeforeProbeFn &&BeforeProbe,
+                             OnMissFn &&OnMiss);
+  /// True when some recorded element is wider than \p Sim's lines, so an
+  /// access may touch two lines and the probes above do not apply.
+  bool maySpanLines(const sim::CacheSim &Sim) const;
   /// Streams every block; Probe(Addr, RefIndex, WriteBit) per access,
   /// and BlockFn(PatternIndex, Count) once per block for callers that
   /// settle bulk statistics blockwise. With \p Narrow, blocks of at most

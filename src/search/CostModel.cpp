@@ -8,7 +8,6 @@
 
 #include "analysis/LatticePredictor.h"
 #include "cachesim/CacheHierarchy.h"
-#include "cachesim/CacheSim.h"
 #include "exec/Trace.h"
 #include "exec/TraceRunner.h"
 #include "pipeline/AnalysisManager.h"
@@ -20,25 +19,20 @@ using namespace padx::search;
 
 namespace {
 
-/// Per-thread replay state. The recorded trace is shared read-only; the
-/// replayer (whose stride-delta caches are mutable) and the simulator
-/// are per worker. Keyed by the trace's process-unique id so pool
-/// threads that outlive one search re-initialize cleanly for the next;
-/// the shared_ptr keeps the keyed trace alive for as long as the worker
-/// holds it.
-struct ReplayWorkerState {
+/// Per-thread evaluation state. The recorded trace is shared read-only;
+/// the replayer (whose stride-delta caches are mutable) and the machine's
+/// simulator are per worker. Keyed by the trace's process-unique id and
+/// by machine, so pool threads that outlive one search re-initialize
+/// cleanly for the next; the shared_ptr keeps the keyed trace alive for
+/// as long as the worker holds it.
+struct WorkerState {
   std::shared_ptr<const exec::RecordedTrace> Trace;
   std::optional<exec::TraceReplayer> Replayer;
-  /// Single-cache-level machines probe one packed CacheSim ...
-  std::optional<sim::CacheSim> Sim;
-  CacheConfig SimConfig;
-  /// ... multi-level ones a hierarchy, keyed by machine. Either is
-  /// reset between evaluations.
+  /// Reset between evaluations.
   std::optional<sim::CacheHierarchy> Hier;
-  MachineModel HierMachine;
 };
 
-thread_local ReplayWorkerState Worker;
+thread_local WorkerState Worker;
 
 /// The sample a simulated hierarchy leaves: weighted cost plus the
 /// unweighted per-level misses.
@@ -63,47 +57,22 @@ void SimulationCostModel::prepareReplay(const ir::Program &P) {
 
 CostSample SimulationCostModel::evaluate(
     const layout::DataLayout &DL) const {
-  const bool Replay = Trace && &DL.program() == &Trace->program();
-  if (Replay && (!Worker.Trace || Worker.Trace->id() != Trace->id())) {
-    Worker.Trace = Trace;
-    Worker.Replayer.emplace(*Trace);
-  }
-  if (!Machine.isSingleLevel()) {
-    if (!Replay) {
-      sim::CacheHierarchy H(Machine);
-      exec::HierarchySink Sink(H);
-      exec::TraceRunner(DL.program(), DL).run(Sink);
-      return sampleOf(H);
+  if (!Worker.Hier || Worker.Hier->machine() != Machine)
+    Worker.Hier.emplace(Machine);
+  else
+    Worker.Hier->reset();
+  sim::CacheHierarchy &H = *Worker.Hier;
+  if (Trace && &DL.program() == &Trace->program()) {
+    if (!Worker.Trace || Worker.Trace->id() != Trace->id()) {
+      Worker.Trace = Trace;
+      Worker.Replayer.emplace(*Trace);
     }
-    if (!Worker.Hier || Worker.HierMachine != Machine) {
-      Worker.Hier.emplace(Machine);
-      Worker.HierMachine = Machine;
-    } else {
-      Worker.Hier->reset();
-    }
-    Worker.Replayer->replay(DL, *Worker.Hier);
-    return sampleOf(*Worker.Hier);
-  }
-  // One unit-weight level keeps this path's cost exactly the miss count.
-  const CacheLevel &L1 = Machine.Levels.front();
-  auto SampleOf = [&](const sim::CacheSim &Sim) {
-    double Misses = static_cast<double>(Sim.stats().Misses);
-    return CostSample{L1.Weight * Misses, Sim.stats().Accesses, {Misses}};
-  };
-  if (!Replay) {
-    sim::CacheSim Sim(L1.Geometry);
-    exec::CacheSimSink Sink(Sim);
-    exec::TraceRunner(DL.program(), DL).run(Sink);
-    return SampleOf(Sim);
-  }
-  if (!Worker.Sim || Worker.SimConfig != L1.Geometry) {
-    Worker.Sim.emplace(L1.Geometry);
-    Worker.SimConfig = L1.Geometry;
+    Worker.Replayer->replay(DL, H);
   } else {
-    Worker.Sim->reset();
+    exec::HierarchySink Sink(H);
+    exec::TraceRunner(DL.program(), DL).run(Sink);
   }
-  Worker.Replayer->replay(DL, *Worker.Sim);
-  return SampleOf(*Worker.Sim);
+  return sampleOf(H);
 }
 
 CostSample StaticCostModel::evaluate(const layout::DataLayout &DL) const {

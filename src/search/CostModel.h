@@ -52,14 +52,14 @@ struct CostSample {
 /// By default every evaluation re-walks the IR (a whole program
 /// execution). prepareReplay() records the program's layout-independent
 /// access stream once; evaluations of that program's layouts then
-/// replay the recorded stream through a per-worker cache simulator — a
-/// tight remap-and-probe loop instead of the walk — with bit-identical
-/// statistics. Programs the recorder declines (an index subscript
-/// outside its declared table, a trace over the storage cap) keep the
-/// direct path with the same results, and replayDeclined() names why.
-/// A single-cache-level machine replays into the packed one-level
-/// CacheSim probe; a multi-level one replays through a CacheHierarchy,
-/// forwarding only first-level misses.
+/// replay the recorded stream — a tight remap-and-probe loop instead of
+/// the walk — with bit-identical statistics. Programs the recorder
+/// declines (an index subscript outside its declared table, a trace
+/// over the storage cap) keep the direct path with the same results,
+/// and replayDeclined() names why. Either way the simulator is one
+/// per-worker CacheHierarchy of the machine; replay probes its first
+/// cache level and forwards only that level's misses, and a one-level
+/// machine replays exactly as a bare CacheSim would.
 class SimulationCostModel {
 public:
   explicit SimulationCostModel(const MachineModel &Machine)
@@ -82,7 +82,7 @@ public:
 private:
   MachineModel Machine;
   /// Shared read-only across the thread pool's workers; each worker
-  /// keeps its own TraceReplayer and simulator (thread-local).
+  /// keeps its own TraceReplayer and CacheHierarchy (thread-local).
   std::shared_ptr<const exec::RecordedTrace> Trace;
   std::string WhyNot;
 };

@@ -130,3 +130,36 @@ TEST(HierarchyClassifier, OuterLevelConflictsAreLocal) {
                 C.breakdown(0).Compulsory,
             C.breakdown(1).Accesses);
 }
+
+TEST(CacheHierarchy, AddressesBelowZeroFallInTheLineThatHoldsThem) {
+  // A subscript below its array's lower bound can address below the
+  // first base, which is 0. Byte -24 lies in line -1 ([-32, -1]), and
+  // [-8, 7] spans lines -1 and 0: every simulator must number lines by
+  // flooring, as CacheSim does and the trace replayer does, never by
+  // truncating toward zero.
+  const CacheConfig L1{1024, 32, 1};
+  MachineModel M{{L1, CacheConfig{8 * 1024, 64, 1},
+                  CacheConfig{64 * 4096, 4096, 4}}};
+  M.Levels[2].IsTlb = true;
+  CacheSim Flat(L1);
+  CacheHierarchy H(M);
+  MissClassifier Single(L1);
+  HierarchyClassifier C(M);
+  for (auto [Addr, Size] : {std::pair<int64_t, int64_t>{-24, 8}, {-8, 16}}) {
+    Flat.access(Addr, Size, false);
+    H.access(Addr, Size, false);
+    Single.access(Addr, Size, false);
+    C.access(Addr, Size, false);
+  }
+  EXPECT_EQ(Flat.stats().Accesses, 3u);
+  EXPECT_EQ(Flat.stats().Misses, 2u);
+  EXPECT_EQ(H.stats(0), Flat.stats());
+  EXPECT_EQ(H.stats(1).Misses, 2u); // 64 B lines -1 and 0
+  EXPECT_EQ(H.stats(2).Accesses, 3u); // page -1 twice, page 0 once
+  EXPECT_EQ(H.stats(2).Misses, 2u);
+  EXPECT_EQ(Single.breakdown().Accesses, 3u);
+  EXPECT_EQ(Single.breakdown().Compulsory, 2u);
+  EXPECT_EQ(C.breakdown(0).Accesses, 3u);
+  EXPECT_EQ(C.breakdown(0).Compulsory, 2u);
+  EXPECT_EQ(C.breakdown(1).Compulsory, 2u);
+}

@@ -141,13 +141,20 @@ TEST(SingleLevelEquivalence, HierarchySimMatchesCacheSim) {
     Cases.push_back({&Name, &P, layout::originalLayout(P), {}, {}, {}});
     Cases.push_back({&Name, &P, pad::runPad(P, kCache).Layout, {}, {}, {}});
   }
-  // Each (program, layout) case is three full walks; they are
-  // independent, so run them across the cores and check afterwards.
-  expt::parallelFor(Cases.size(), [&](size_t I) {
-    Case &C = Cases[I];
-    C.Flat = expt::measureMissRate(*C.P, C.DL, kCache);
-    C.Hier = expt::measureHierarchy(*C.P, C.DL, M, /*Classify=*/true);
-    C.B = expt::classifyMisses(*C.P, C.DL, kCache);
+  // Each (program, layout) case takes four full walks: the hierarchy
+  // and its classifier, the single-cache classifier, and the flat sim.
+  // They are independent, so each of the three measurements runs as its
+  // own task, the longest kind first (the classified hierarchy's two
+  // walks, then the classifier), and the checks run afterwards.
+  const size_t N = Cases.size();
+  expt::parallelFor(3 * N, [&](size_t I) {
+    Case &C = Cases[I % N];
+    if (I < N)
+      C.Hier = expt::measureHierarchy(*C.P, C.DL, M, /*Classify=*/true);
+    else if (I < 2 * N)
+      C.B = expt::classifyMisses(*C.P, C.DL, kCache);
+    else
+      C.Flat = expt::measureMissRate(*C.P, C.DL, kCache);
   });
   for (const Case &C : Cases) {
     const std::string &Name = *C.Name;
