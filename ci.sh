@@ -204,7 +204,7 @@ fi
 # The point of the manager — candidate evaluation throughput. The bench
 # exits 2 if cached and uncached candidate streams ever diverge, so this
 # doubles as a bit-identity gate; --guard 1.2 is the acceptance floor
-# (measured ~3.5x aggregate locally, so the bound has real headroom).
+# (measured ~46x aggregate locally, so the bound has real headroom).
 build/bench/analysis_cache --candidates 192 --guard 1.2 \
   --json build/BENCH_pipeline.json
 
@@ -221,6 +221,13 @@ rc=0; build/examples/padlint examples/programs/jacobi512.pad \
 [ "$rc" -eq 1 ] || { echo "expected exit 1 on findings, got $rc"; exit 1; }
 rc=0; build/examples/padlint no-such-file.pad 2> /dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 on bad input, got $rc"; exit 1; }
+# Integer flags parse whole and in range: 'abc' is not a fully
+# associative cache, and 2^32 + 1 ways does not wrap to 1.
+for bad in abc 4294967297; do
+  rc=0; build/examples/padlint --assoc "$bad" examples/programs/jacobi512.pad \
+    > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "expected exit 2 on --assoc $bad, got $rc"; exit 1; }
+done
 # A baseline recorded from the same tree must suppress everything.
 build/examples/padlint --write-baseline build/LINT_examples.baseline \
   --fail-on never examples/programs/*.pad > /dev/null

@@ -47,11 +47,14 @@
 
 #include "server/Client.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,7 +97,8 @@ struct RequestParams {
   long long CacheBytes = 0, LineBytes = 0, Assoc = -1;
   std::string Machine, Weights;
   double DeadlineMs = 0;
-  long long Budget = 0, Seed = -1;
+  long long Budget = 0;
+  std::optional<long long> Seed;
   long long MemoryBudget = 0, MaxFootprint = 0, MaxAccesses = 0;
   std::string Prescreen;
   bool NoEmit = false;
@@ -130,8 +134,8 @@ std::string buildRequest(int64_t Id, const RequestParams &P,
     JW.field("deadline_ms", P.DeadlineMs);
   if (P.Budget > 0)
     JW.field("budget", static_cast<int64_t>(P.Budget));
-  if (P.Seed >= 0)
-    JW.field("seed", static_cast<int64_t>(P.Seed));
+  if (P.Seed)
+    JW.field("seed", static_cast<int64_t>(*P.Seed));
   if (!P.Prescreen.empty())
     JW.field("prescreen", P.Prescreen);
   if (P.MemoryBudget > 0)
@@ -169,6 +173,15 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) {
+      return parseIntegerFlag(Arg, Next(), Min, Max, ExitUsage);
+    };
+    // The ranges are the protocol's; a zero size or limit leaves the
+    // field out of the request, so the daemon's default applies.
+    constexpr long long I64Max = std::numeric_limits<long long>::max();
+    constexpr long long IntMax = std::numeric_limits<int>::max();
+    constexpr long long U32Max = std::numeric_limits<uint32_t>::max();
     if (Arg == "--socket")
       CO.SocketPath = Next();
     else if (Arg == "--op")
@@ -176,11 +189,11 @@ int main(int argc, char **argv) {
     else if (Arg == "--format")
       P.Format = Next();
     else if (Arg == "--cache")
-      P.CacheBytes = std::atoll(Next());
+      P.CacheBytes = NextInt(1LL, I64Max);
     else if (Arg == "--line")
-      P.LineBytes = std::atoll(Next());
+      P.LineBytes = NextInt(1LL, I64Max);
     else if (Arg == "--assoc")
-      P.Assoc = std::atoll(Next());
+      P.Assoc = NextInt(0LL, IntMax);
     else if (Arg == "--machine")
       P.Machine = Next();
     else if (Arg == "--weights")
@@ -188,32 +201,27 @@ int main(int argc, char **argv) {
     else if (Arg == "--deadline-ms")
       P.DeadlineMs = std::atof(Next());
     else if (Arg == "--budget")
-      P.Budget = std::atoll(Next());
+      P.Budget = NextInt(1LL, U32Max);
     else if (Arg == "--seed")
-      P.Seed = std::atoll(Next());
+      P.Seed = NextInt(std::numeric_limits<long long>::min(), I64Max);
     else if (Arg == "--prescreen")
       P.Prescreen = Next();
     else if (Arg == "--memory-budget")
-      P.MemoryBudget = std::atoll(Next());
+      P.MemoryBudget = NextInt(0LL, I64Max);
     else if (Arg == "--max-footprint")
-      P.MaxFootprint = std::atoll(Next());
+      P.MaxFootprint = NextInt(0LL, I64Max);
     else if (Arg == "--max-accesses")
-      P.MaxAccesses = std::atoll(Next());
+      P.MaxAccesses = NextInt(0LL, I64Max);
     else if (Arg == "--no-emit")
       P.NoEmit = true;
     else if (Arg == "--repeat")
-      Repeat = std::atoll(Next());
+      Repeat = NextInt(1LL, I64Max);
     else if (Arg == "--mode")
       P.ShutdownMode = Next();
     else if (Arg == "--drain-ms")
       P.DrainMs = std::atof(Next());
     else if (Arg == "--retries") {
-      long long N = std::atoll(Next());
-      if (N < 1) {
-        std::fprintf(stderr, "error: --retries must be >= 1\n");
-        return ExitUsage;
-      }
-      CO.MaxAttempts = static_cast<unsigned>(N);
+      CO.MaxAttempts = NextInt(1u, std::numeric_limits<unsigned>::max());
     } else if (Arg == "--timeout-ms")
       CO.ResponseTimeoutMs = std::atof(Next());
     else if (Arg == "--no-retry") {

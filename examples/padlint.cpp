@@ -51,6 +51,7 @@
 #include "lint/Output.h"
 #include "lint/Rule.h"
 #include "pipeline/PadPipeline.h"
+#include "support/ParseInteger.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -119,12 +121,18 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) {
+      return parseIntegerFlag(Arg, Next(), Min, Max, ExitUsage);
+    };
     if (Arg == "--cache") {
-      Cache.SizeBytes = std::atoll(Next());
+      Cache.SizeBytes =
+          NextInt(int64_t(1), std::numeric_limits<int64_t>::max());
     } else if (Arg == "--line") {
-      Cache.LineBytes = std::atoll(Next());
+      Cache.LineBytes =
+          NextInt(int64_t(1), std::numeric_limits<int64_t>::max());
     } else if (Arg == "--assoc") {
-      Cache.Associativity = std::atoi(Next());
+      Cache.Associativity = NextInt(0, std::numeric_limits<int>::max());
     } else if (Arg == "--machine") {
       MachineSpec = Next();
     } else if (Arg == "--weights") {

@@ -17,20 +17,47 @@
 #ifndef PADX_ANALYSIS_CONFLICTDISTANCE_H
 #define PADX_ANALYSIS_CONFLICTDISTANCE_H
 
+#include "analysis/ReferenceGroups.h"
 #include "ir/Program.h"
 #include "layout/DataLayout.h"
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 namespace padx {
 namespace analysis {
 
-/// Linearizes \p R into an affine element offset from its array's first
-/// element, using the padded dimension sizes of \p DL:
-///   sum_d (subscript_d - lowerbound_d) * stride_d.
-/// The reference must be affine (no indirection).
-ir::AffineExpr linearizeElems(const layout::DataLayout &DL,
-                              const ir::ArrayRef &R);
+/// One reference's byte address as an integer affine form over a fixed
+/// list of index variables i_k:
+///   ConstBytes + sum_k CoeffBytes[k] * i_k.
+struct LinearForm {
+  /// False for an indirect reference, whose address is not affine; the
+  /// other fields are then empty.
+  bool Affine = false;
+  int64_t ConstBytes = 0;
+  std::vector<int64_t> CoeffBytes;
+};
+
+/// The forms of every reference of \p G under \p DL's base addresses,
+/// aligned with G.Refs, over the group's nest variables (G.Nest,
+/// outermost first, so CoeffBytes.back() belongs to the innermost
+/// loop). Each is built with integer multiply-adds from the subscripts,
+/// the lower bounds, the padded strides, the element size and the base,
+/// so a pairwise scan builds the forms once per group and compares
+/// integers. A subscript naming a variable outside the nest (which the
+/// validator rejects) leaves its reference non-affine.
+std::vector<LinearForm> linearizeGroup(const layout::DataLayout &DL,
+                                       const LoopGroup &G);
+
+/// Constant byte distance (address of \p A) - (address of \p B) of two
+/// forms over the same variables. Two references have a constant
+/// distance exactly when their coefficient rows are equal, and it is the
+/// difference of their constants; std::nullopt otherwise, or when either
+/// form is not affine. For forms from linearizeGroup this equals
+/// iterationDistanceBytes of the two references.
+std::optional<int64_t> constantDistance(const LinearForm &A,
+                                        const LinearForm &B);
 
 /// Byte distance (address of \p R1) - (address of \p R2) evaluated with
 /// explicit base addresses, when that distance is the same on every

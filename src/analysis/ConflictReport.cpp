@@ -40,13 +40,20 @@ analysis::reportConflicts(const layout::DataLayout &DL,
   std::vector<ConflictEntry> Entries;
 
   for (const LoopGroup &G : Groups) {
+    std::vector<LinearForm> Forms = linearizeGroup(DL, G);
     for (size_t I = 0, E = G.Refs.size(); I != E; ++I) {
       for (size_t J = I + 1; J != E; ++J) {
-        const ir::ArrayRef &R1 = *G.Refs[I].Ref;
-        const ir::ArrayRef &R2 = *G.Refs[J].Ref;
-        std::optional<int64_t> Dist = iterationDistanceBytes(DL, R1, R2);
+        std::optional<int64_t> Dist = constantDistance(Forms[I], Forms[J]);
         if (!Dist)
           continue;
+        int64_t CD = conflictDistance(*Dist, Cs);
+        bool Severe = std::llabs(*Dist) >= Ls && CD < Ls;
+        if (SevereOnly && !Severe)
+          continue;
+        // Render only the entries kept: the search's repair asks for a
+        // severe-only report every round.
+        const ir::ArrayRef &R1 = *G.Refs[I].Ref;
+        const ir::ArrayRef &R2 = *G.Refs[J].Ref;
         ConflictEntry CE;
         CE.LoopVar = G.Innermost->IndexVar;
         CE.Ref1 = renderRef(P, R1);
@@ -57,11 +64,8 @@ analysis::reportConflicts(const layout::DataLayout &DL,
         CE.Array2 = R2.ArrayId;
         CE.SameArray = R1.ArrayId == R2.ArrayId;
         CE.DistanceBytes = *Dist;
-        CE.ConflictDistance = conflictDistance(*Dist, Cs);
-        CE.Severe =
-            std::llabs(*Dist) >= Ls && CE.ConflictDistance < Ls;
-        if (SevereOnly && !CE.Severe)
-          continue;
+        CE.ConflictDistance = CD;
+        CE.Severe = Severe;
         Entries.push_back(std::move(CE));
       }
     }

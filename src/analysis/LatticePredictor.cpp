@@ -105,7 +105,8 @@ analysis::predictConflicts(const layout::DataLayout &DL,
       continue;
     }
 
-    GroupReuse Reuse = analyzeReuse(DL, G, Ls);
+    std::vector<LinearForm> Forms = linearizeGroup(DL, G);
+    GroupReuse Reuse = analyzeReuse(G, Forms, Ls);
     size_t N = G.Refs.size();
 
     // A reference participates in the lattice test only if it generates
@@ -126,7 +127,8 @@ analysis::predictConflicts(const layout::DataLayout &DL,
     // nonzero point of its address-difference lattice; it collides when
     // its shortest vector into the set-mapping lattice Cs*Z is under a
     // line while the raw difference spans at least one. Same-class
-    // pairs never pass (group reuse keeps them within a line).
+    // pairs never pass (group reuse keeps them within a line). The
+    // group's linear forms make each pair an integer comparison.
     std::vector<ClassEdge> Edges;
     if (Cache.Associativity != 0) {
       for (size_t I = 0; I != N; ++I) {
@@ -136,8 +138,7 @@ analysis::predictConflicts(const layout::DataLayout &DL,
           if (!Eligible[J] ||
               Reuse.Refs[I].Leader == Reuse.Refs[J].Leader)
             continue;
-          std::optional<int64_t> Dist = iterationDistanceBytes(
-              DL, *G.Refs[I].Ref, *G.Refs[J].Ref);
+          std::optional<int64_t> Dist = constantDistance(Forms[I], Forms[J]);
           if (!Dist || !isSevereDistance(*Dist, Cs, Ls))
             continue;
           Clusters.merge(I, J);

@@ -6,8 +6,6 @@
 
 #include "analysis/Reuse.h"
 
-#include "analysis/ConflictDistance.h"
-
 #include <cstdlib>
 
 using namespace padx;
@@ -16,19 +14,22 @@ using namespace padx::analysis;
 GroupReuse analysis::analyzeReuse(const layout::DataLayout &DL,
                                   const LoopGroup &Group,
                                   int64_t LineBytes) {
+  return analyzeReuse(Group, linearizeGroup(DL, Group), LineBytes);
+}
+
+GroupReuse analysis::analyzeReuse(const LoopGroup &Group,
+                                  const std::vector<LinearForm> &Forms,
+                                  int64_t LineBytes) {
   GroupReuse Result;
   Result.Group = &Group;
-  const ir::Program &P = DL.program();
-  const std::string &InnerVar = Group.Innermost->IndexVar;
   int64_t Step = std::llabs(Group.Innermost->Step);
 
   for (size_t I = 0, E = Group.Refs.size(); I != E; ++I) {
-    const ir::ArrayRef &R = *Group.Refs[I].Ref;
     RefReuse RR;
-    RR.Ref = &R;
+    RR.Ref = Group.Refs[I].Ref;
     RR.Leader = I;
 
-    if (!R.isAffine()) {
+    if (!Forms[I].Affine) {
       RR.Unanalyzable = true;
       Result.Refs.push_back(RR);
       continue;
@@ -36,9 +37,7 @@ GroupReuse analysis::analyzeReuse(const layout::DataLayout &DL,
 
     // Self reuse: derivative of the byte address w.r.t. the innermost
     // index times the loop step.
-    int64_t ElemSize = P.array(R.ArrayId).ElemSize;
-    int64_t Coeff =
-        linearizeElems(DL, R).coefficientOf(InnerVar) * ElemSize * Step;
+    int64_t Coeff = Forms[I].CoeffBytes.back() * Step;
     RR.StrideBytes = Coeff;
     if (Coeff == 0)
       RR.Self = SelfReuse::Temporal;
@@ -53,8 +52,7 @@ GroupReuse analysis::analyzeReuse(const layout::DataLayout &DL,
       const RefReuse &Prev = Result.Refs[J];
       if (Prev.Unanalyzable)
         continue;
-      std::optional<int64_t> Dist =
-          iterationDistanceBytes(DL, R, *Group.Refs[J].Ref);
+      std::optional<int64_t> Dist = constantDistance(Forms[I], Forms[J]);
       if (!Dist)
         continue;
       if (*Dist == 0) {

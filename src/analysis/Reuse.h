@@ -26,6 +26,7 @@
 #ifndef PADX_ANALYSIS_REUSE_H
 #define PADX_ANALYSIS_REUSE_H
 
+#include "analysis/ConflictDistance.h"
 #include "analysis/ReferenceGroups.h"
 #include "layout/DataLayout.h"
 
@@ -65,6 +66,13 @@ struct GroupReuse {
 /// line of \p LineBytes.
 GroupReuse analyzeReuse(const layout::DataLayout &DL,
                         const LoopGroup &Group, int64_t LineBytes);
+
+/// As above with the group's linear forms precomputed by
+/// linearizeGroup(DL, Group), so a caller that scans the group's pairs
+/// itself (the lattice predictor) builds them once.
+GroupReuse analyzeReuse(const LoopGroup &Group,
+                        const std::vector<LinearForm> &Forms,
+                        int64_t LineBytes);
 
 } // namespace analysis
 } // namespace padx

@@ -16,7 +16,10 @@
 #define PADX_SUPPORT_PARSEINTEGER_H
 
 #include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -36,6 +39,22 @@ std::optional<T> parseInteger(std::string_view Text, T Min, T Max) {
   if (Ec != std::errc() || Ptr != End || Value < Min || Value > Max)
     return std::nullopt;
   return Value;
+}
+
+/// parseInteger for the value \p Text of command-line flag \p Flag. A
+/// bad value prints one "error: <Flag> takes an integer in [<Min>,
+/// <Max>], got '<Text>'" line to stderr and exits with \p ExitCode.
+template <typename T>
+T parseIntegerFlag(std::string_view Flag, const char *Text, T Min, T Max,
+                   int ExitCode) {
+  if (std::optional<T> V = parseInteger<T>(Text, Min, Max))
+    return *V;
+  std::fprintf(stderr,
+               "error: %.*s takes an integer in [%s, %s], got '%s'\n",
+               static_cast<int>(Flag.size()), Flag.data(),
+               std::to_string(Min).c_str(), std::to_string(Max).c_str(),
+               Text);
+  std::exit(ExitCode);
 }
 
 } // namespace padx

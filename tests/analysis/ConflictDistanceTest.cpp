@@ -51,29 +51,40 @@ struct JacobiFixture {
 TEST(Linearize, ColumnMajorOffsets) {
   ProgramBuilder PB("p");
   unsigned A = PB.addArray2D("A", 10, 20);
+  PB.beginLoop("i", 1, 20);
+  PB.beginLoop("j", 2, 10);
+  PB.assign({PB.write(A, {PB.idx("j", -1), PB.idx("i")})});
+  PB.endLoop();
+  PB.endLoop();
   Program P = PB.take();
   layout::DataLayout DL = layout::originalLayout(P);
+  DL.layout(A).BaseAddr = 800;
 
-  ArrayRef R;
-  R.ArrayId = A;
-  R.Subscripts = {AffineExpr::index("j", 1, -1), AffineExpr::index("i")};
-  AffineExpr Off = linearizeElems(DL, R);
-  // (j-1-1) + (i-1)*10 = j + 10*i - 12.
-  EXPECT_EQ(Off.coefficientOf("j"), 1);
-  EXPECT_EQ(Off.coefficientOf("i"), 10);
-  EXPECT_EQ(Off.constantPart(), -12);
+  std::vector<LoopGroup> Groups = collectLoopGroups(P);
+  ASSERT_EQ(Groups.size(), 1u);
+  std::vector<LinearForm> Forms = linearizeGroup(DL, Groups[0]);
+  ASSERT_EQ(Forms.size(), 1u);
+  ASSERT_TRUE(Forms[0].Affine);
+  // 800 + 8 * ((j-1-1) + (i-1)*10) = 800 + 80*i + 8*j - 96, over the
+  // nest (i, j), outermost first.
+  EXPECT_EQ(Forms[0].CoeffBytes, (std::vector<int64_t>{80, 8}));
+  EXPECT_EQ(Forms[0].ConstBytes, 800 - 96);
 }
 
 TEST(Linearize, UsesPaddedDims) {
   ProgramBuilder PB("p");
   unsigned A = PB.addArray2D("A", 10, 20);
+  PB.beginLoop("i", 1, 20);
+  PB.beginLoop("j", 1, 10);
+  PB.assign({PB.write(A, {PB.idx("j"), PB.idx("i")})});
+  PB.endLoop();
+  PB.endLoop();
   Program P = PB.take();
-  layout::DataLayout DL(P);
+  layout::DataLayout DL = layout::originalLayout(P);
   DL.layout(A).Dims[0] = 12; // padded column
-  ArrayRef R;
-  R.ArrayId = A;
-  R.Subscripts = {AffineExpr::index("j"), AffineExpr::index("i")};
-  EXPECT_EQ(linearizeElems(DL, R).coefficientOf("i"), 12);
+  std::vector<LoopGroup> Groups = collectLoopGroups(P);
+  ASSERT_EQ(Groups.size(), 1u);
+  EXPECT_EQ(linearizeGroup(DL, Groups[0])[0].CoeffBytes.front(), 12 * 8);
 }
 
 TEST(IterationDistance, SameArrayColumnDistance) {

@@ -14,20 +14,26 @@
 /// random candidate. The first test scores one cache level (the paper's
 /// direct-mapped 16K cache and a 2-way one); the second scores
 /// multi-level machines, with a TLB beside the chain, an 8-way first
-/// level and 256 B lines, level by level against the walk.
+/// level and 256 B lines, level by level against the walk. The third
+/// checks the static analyses' pair distances (the paper's Expression
+/// (1)) against addresses computed element by element.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ConflictDistance.h"
 #include "cachesim/CacheHierarchy.h"
 #include "core/Padding.h"
 #include "exec/RecordedTrace.h"
 #include "ir/Validator.h"
+#include "kernels/Kernels.h"
 #include "machine/MachineModel.h"
 #include "search/Candidate.h"
 #include "tests/property/RandomProgram.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <array>
 #include <random>
 
 using namespace padx;
@@ -62,27 +68,116 @@ layout::DataLayout randomCandidate(const ir::Program &P, uint64_t Seed) {
   return search::materialize(P, C);
 }
 
+/// A sample's three layouts, in kLayoutNames order.
+std::array<layout::DataLayout, 3> sampleLayouts(const ir::Program &P,
+                                                uint64_t Seed) {
+  return {layout::originalLayout(P),
+          pad::runPad(P, CacheConfig::base16K()).Layout,
+          randomCandidate(P, Seed)};
+}
+
+/// Sample program \p Seed: the generator's output with one-level
+/// index-array subscripts switched on.
+ir::Program sampleProgram(uint64_t Seed) {
+  padx::testing::RandomProgramOptions GenOpts;
+  GenOpts.IndirectSubscripts = true;
+  return padx::testing::generateRandomProgram(Seed, GenOpts);
+}
+
+::testing::AssertionResult validates(const ir::Program &P) {
+  DiagnosticEngine Diags;
+  if (ir::validate(P, Diags))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << Diags.str();
+}
+
 /// Generates each sample program, records it under the cap and calls
 /// Body(Seed, P, Trace, Layouts) with its three layouts, in
 /// kLayoutNames order.
 template <typename BodyFn> void forEachSample(BodyFn &&Body) {
-  padx::testing::RandomProgramOptions GenOpts;
-  GenOpts.IndirectSubscripts = true;
   for (uint64_t Seed = 1; Seed <= kSamples; ++Seed) {
-    ir::Program P = padx::testing::generateRandomProgram(Seed, GenOpts);
-    DiagnosticEngine Diags;
-    ASSERT_TRUE(ir::validate(P, Diags)) << "seed " << Seed << ": "
-                                        << Diags.str();
+    ir::Program P = sampleProgram(Seed);
+    ASSERT_TRUE(validates(P)) << "seed " << Seed;
     std::string WhyNot;
     auto T = exec::RecordedTrace::record(P, cappedRun(), &WhyNot);
     // The generator keeps every index subscript inside its table.
     ASSERT_NE(T, nullptr) << "seed " << Seed << ": " << WhyNot;
-    const layout::DataLayout Layouts[] = {
-        layout::originalLayout(P),
-        pad::runPad(P, CacheConfig::base16K()).Layout,
-        randomCandidate(P, Seed)};
-    Body(Seed, P, *T, Layouts);
+    const auto Layouts = sampleLayouts(P, Seed);
+    Body(Seed, P, *T, Layouts.data());
   }
+}
+
+/// Byte address of \p R at one point of its nest: the subscripts are
+/// evaluated with \p Point's value for each nest variable and the
+/// element is located by DataLayout::addressOf, so this shares no code
+/// with the analysis' linear forms.
+int64_t addressAt(const layout::DataLayout &DL, const ir::ArrayRef &R,
+                  const std::vector<const ir::Loop *> &Nest,
+                  const std::vector<int64_t> &Point) {
+  auto Env = [&](const std::string &Var) {
+    for (size_t K = 0; K != Nest.size(); ++K)
+      if (Nest[K]->IndexVar == Var)
+        return Point[K];
+    ADD_FAILURE() << "subscript names '" << Var << "' outside its nest";
+    return int64_t(0);
+  };
+  std::vector<int64_t> Indices;
+  for (const ir::AffineExpr &S : R.Subscripts)
+    Indices.push_back(S.evaluate(Env));
+  return DL.addressOf(R.ArrayId, Indices);
+}
+
+/// Checks every reference pair of every loop group of \p DL's program:
+/// the pair's distance, from the group's linear forms and from
+/// iterationDistanceBytes, must equal the difference of the two
+/// addresses at the zero point and at three seeded points of the nest,
+/// and must be std::nullopt exactly when those differences disagree.
+/// Returns the number of pairs with a constant distance.
+unsigned checkPairDistances(const std::string &Context,
+                            const layout::DataLayout &DL, uint64_t Seed) {
+  std::mt19937_64 Rng(Seed);
+  std::uniform_int_distribution<int64_t> Value(-1000, 1000);
+  unsigned Constant = 0;
+  for (const analysis::LoopGroup &G :
+       analysis::collectLoopGroups(DL.program())) {
+    const std::vector<analysis::LinearForm> Forms =
+        analysis::linearizeGroup(DL, G);
+    std::vector<std::vector<int64_t>> Points(
+        4, std::vector<int64_t>(G.Nest.size(), 0));
+    for (size_t Pt = 1; Pt != Points.size(); ++Pt)
+      for (int64_t &V : Points[Pt])
+        V = Value(Rng);
+    for (size_t I = 0; I != G.Refs.size(); ++I) {
+      for (size_t J = I + 1; J != G.Refs.size(); ++J) {
+        const ir::ArrayRef &R1 = *G.Refs[I].Ref, &R2 = *G.Refs[J].Ref;
+        const std::string Where = Context + " loop " +
+                                  G.Innermost->IndexVar + " refs " +
+                                  std::to_string(I) + "," +
+                                  std::to_string(J);
+        std::optional<int64_t> Dist =
+            analysis::constantDistance(Forms[I], Forms[J]);
+        EXPECT_EQ(Dist, analysis::iterationDistanceBytes(DL, R1, R2))
+            << Where;
+        if (!R1.isAffine() || !R2.isAffine()) {
+          EXPECT_FALSE(Dist) << Where << ": an indirect ref";
+          continue;
+        }
+        std::vector<int64_t> Diffs;
+        for (const std::vector<int64_t> &Point : Points)
+          Diffs.push_back(addressAt(DL, R1, G.Nest, Point) -
+                          addressAt(DL, R2, G.Nest, Point));
+        const bool Agree =
+            std::all_of(Diffs.begin(), Diffs.end(),
+                        [&](int64_t D) { return D == Diffs.front(); });
+        EXPECT_EQ(Dist.has_value(), Agree) << Where;
+        if (Dist && Agree) {
+          EXPECT_EQ(*Dist, Diffs.front()) << Where;
+          ++Constant;
+        }
+      }
+    }
+  }
+  return Constant;
 }
 
 } // namespace
@@ -167,4 +262,28 @@ TEST(Differential, HierarchyReplayMatchesTheWalkOnEveryMachineShape) {
       }
     }
   });
+}
+
+TEST(Differential, PairDistancesMatchAddressDifferences) {
+  // Generated programs under their three sample layouts, then every
+  // corpus kernel under its original and PAD layouts.
+  unsigned Constant = 0;
+  for (uint64_t Seed = 1; Seed <= kSamples; ++Seed) {
+    ir::Program P = sampleProgram(Seed);
+    ASSERT_TRUE(validates(P)) << "seed " << Seed;
+    const auto Layouts = sampleLayouts(P, Seed);
+    for (unsigned L = 0; L != 3; ++L)
+      Constant += checkPairDistances(
+          "seed " + std::to_string(Seed) + " " + kLayoutNames[L],
+          Layouts[L], Seed * 3 + L);
+  }
+  for (const kernels::KernelInfo &K : kernels::allKernels()) {
+    ir::Program P = kernels::makeKernel(K.Name);
+    Constant += checkPairDistances(K.Name + " original",
+                                   layout::originalLayout(P), 1);
+    Constant += checkPairDistances(
+        K.Name + " pad", pad::runPad(P, CacheConfig::base16K()).Layout, 2);
+  }
+  // The pairs must actually include constant distances.
+  EXPECT_GT(Constant, 1000u);
 }

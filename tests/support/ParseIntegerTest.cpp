@@ -57,3 +57,11 @@ TEST(ParseInteger, AcceptsBothRangeEdges) {
   EXPECT_EQ(parseInteger<int64_t>("9223372036854775808", 1, I64Max),
             std::nullopt);
 }
+
+TEST(ParseIntegerFlag, BadValueNamesTheFlagAndItsRange) {
+  EXPECT_EQ(parseIntegerFlag("--assoc", "8", 0, 16, 2), 8);
+  EXPECT_EXIT(parseIntegerFlag("--assoc", "abc", 0, 16, 2),
+              ::testing::ExitedWithCode(2),
+              "^error: --assoc takes an integer in \\[0, 16\\], "
+              "got 'abc'\n$");
+}
