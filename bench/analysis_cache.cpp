@@ -72,7 +72,7 @@ uint64_t runMode(const ir::Program &P, const CacheConfig &Cache,
   pipeline::PadPipeline PP(P, EnableCache);
   const MachineModel Machine = MachineModel::singleLevel(Cache);
   search::CandidateGenerator Gen(P, Machine, PP);
-  search::StaticCostModel Static(Machine, &PP.analysis());
+  search::StaticCostModel Static(Machine, PP.analysis());
   std::mt19937_64 Rng(Seed);
 
   search::Candidate Current = Gen.seeds().front();
@@ -224,8 +224,8 @@ int main(int argc, char **argv) {
                            ? static_cast<double>(TotalCands) / TotalUncached
                            : 0;
   double Speedup = TotalCached > 0 ? TotalUncached / TotalCached : 0;
-  std::printf("\ncandidates/sec: %.0f with the manager on, %.0f with "
-              "--analysis-cache off (%.2fx)\n",
+  std::printf("\ncandidates/sec: %.0f with the manager's cache on, %.0f "
+              "with it off (%.2fx)\n",
               CachedCps, UncachedCps, Speedup);
   std::printf("costs bit-identical across both modes for all %llu "
               "candidates\n",

@@ -325,18 +325,22 @@ done
 build/examples/paddctl --socket "$PADD_SOCK" --op lint --format sarif \
   tests/fuzz/corpus/jacobi512.pad > build/padd_ci_sarif.ndjson
 # One multi-level search: its *_percent fields are first-cache-level
-# miss rates (never above 100, whatever the level weights) and the
-# retired batch_width field stays gone.
+# miss rates (never above 100, whatever the level weights), the retired
+# batch_width and prescreen_* fields stay gone, and a deadline past the
+# steady clock's nanosecond range (1e13 ms) lets it run to completion.
 build/examples/paddctl --socket "$PADD_SOCK" --op search --machine paper-l2 \
-  --budget 8 --no-emit tests/fuzz/corpus/jacobi512.pad \
+  --budget 8 --deadline-ms 1e13 --no-emit tests/fuzz/corpus/jacobi512.pad \
   > build/padd_ci_search_l2.ndjson
 if command -v jq > /dev/null 2>&1; then
-  jq -e '.ok == true and .op == "search" and
+  jq -e '.ok == true and .op == "search" and .status == "complete" and
          ([.result | to_entries[] | select(.key | endswith("_percent"))
            | .value] | length == 3 and all(. <= 100)) and
-         (.result | has("batch_width") | not)' \
+         (.result | has("batch_width") | not) and
+         (.result | has("prescreen_active") | not) and
+         (.result | has("prescreen_skipped") | not)' \
     build/padd_ci_search_l2.ndjson > /dev/null || {
-    echo "paper-l2 search reply has a percent above 100 or batch_width"
+    echo "paper-l2 search reply is partial, has a percent above 100," \
+      "or carries a retired field"
     cat build/padd_ci_search_l2.ndjson; kill "$PADD_PID"; exit 1; }
   jq -e '.ok == true and .op == "lint"' build/padd_ci_sarif.ndjson \
     > /dev/null

@@ -119,12 +119,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--max-inflight") {
       Opts.MaxConnInFlight = NextInt(0u, UMax);
     } else if (Arg == "--drain-ms") {
-      double Ms = std::atof(Next());
-      if (Ms <= 0) {
-        std::fprintf(stderr, "error: --drain-ms must be positive\n");
-        return 1;
-      }
-      Opts.DrainDeadlineMs = Ms;
+      Opts.DrainDeadlineMs =
+          parseNumberFlag(Arg, Next(), /*ZeroAllowed=*/false, 1);
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
       return 0;

@@ -76,7 +76,7 @@ void usage() {
       "               [--cache BYTES] [--line BYTES] [--assoc K]\n"
       "               [--machine PRESET|SPEC] [--weights l1=1,...]\n"
       "               [--deadline-ms MS] [--budget N]\n"
-      "               [--seed S] [--prescreen on|off|auto]\n"
+      "               [--seed S]\n"
       "               [--memory-budget BYTES] [--max-footprint BYTES]\n"
       "               [--max-accesses N] [--no-emit] [--repeat N]\n"
       "               [--mode now|drain] [--drain-ms MS]\n"
@@ -100,7 +100,6 @@ struct RequestParams {
   long long Budget = 0;
   std::optional<long long> Seed;
   long long MemoryBudget = 0, MaxFootprint = 0, MaxAccesses = 0;
-  std::string Prescreen;
   bool NoEmit = false;
   std::string ShutdownMode;
   double DrainMs = 0;
@@ -136,8 +135,6 @@ std::string buildRequest(int64_t Id, const RequestParams &P,
     JW.field("budget", static_cast<int64_t>(P.Budget));
   if (P.Seed)
     JW.field("seed", static_cast<int64_t>(*P.Seed));
-  if (!P.Prescreen.empty())
-    JW.field("prescreen", P.Prescreen);
   if (P.MemoryBudget > 0)
     JW.field("memory_budget", static_cast<int64_t>(P.MemoryBudget));
   if (P.MaxFootprint > 0)
@@ -177,6 +174,10 @@ int main(int argc, char **argv) {
     auto NextInt = [&]<typename T>(T Min, T Max) {
       return parseIntegerFlag(Arg, Next(), Min, Max, ExitUsage);
     };
+    // The next argument as a whole finite number >= 0 (0 = unset).
+    auto NextNumber = [&] {
+      return parseNumberFlag(Arg, Next(), /*ZeroAllowed=*/true, ExitUsage);
+    };
     // The ranges are the protocol's; a zero size or limit leaves the
     // field out of the request, so the daemon's default applies.
     constexpr long long I64Max = std::numeric_limits<long long>::max();
@@ -199,13 +200,11 @@ int main(int argc, char **argv) {
     else if (Arg == "--weights")
       P.Weights = Next();
     else if (Arg == "--deadline-ms")
-      P.DeadlineMs = std::atof(Next());
+      P.DeadlineMs = NextNumber();
     else if (Arg == "--budget")
       P.Budget = NextInt(1LL, U32Max);
     else if (Arg == "--seed")
       P.Seed = NextInt(std::numeric_limits<long long>::min(), I64Max);
-    else if (Arg == "--prescreen")
-      P.Prescreen = Next();
     else if (Arg == "--memory-budget")
       P.MemoryBudget = NextInt(0LL, I64Max);
     else if (Arg == "--max-footprint")
@@ -219,11 +218,11 @@ int main(int argc, char **argv) {
     else if (Arg == "--mode")
       P.ShutdownMode = Next();
     else if (Arg == "--drain-ms")
-      P.DrainMs = std::atof(Next());
+      P.DrainMs = NextNumber();
     else if (Arg == "--retries") {
       CO.MaxAttempts = NextInt(1u, std::numeric_limits<unsigned>::max());
     } else if (Arg == "--timeout-ms")
-      CO.ResponseTimeoutMs = std::atof(Next());
+      CO.ResponseTimeoutMs = NextNumber();
     else if (Arg == "--no-retry") {
       CO.MaxAttempts = 1;
       CO.HonorRetryAfter = false;

@@ -27,12 +27,6 @@
 ///   --threads N     search: worker threads (0 = hardware)
 ///   --seed S        search: RNG seed (default 0)
 ///   --deadline SECS search: wall-clock limit; degrades to best-so-far
-///   --prescreen on|off|auto  search: statically rank each round with
-///                   the lattice predictor and replay only the top half
-///                   (default off; auto engages when the predictor can
-///                   analyze the program)
-///   --analysis-cache on|off  memoize analysis results across passes
-///                   (default on; off recomputes every query)
 ///   --max-footprint BYTES  resource limit on the layout's byte size
 ///   --max-accesses N       resource limit on simulated trace length
 ///   --emit          print the transformed PadLang source
@@ -92,8 +86,6 @@ void usage() {
                "               [--scheme pad|padlite|search] "
                "[--budget N] [--threads N]\n"
                "               [--seed S] [--deadline SECS]\n"
-               "               [--prescreen on|off|auto] "
-               "[--analysis-cache on|off]\n"
                "               [--max-footprint BYTES] "
                "[--max-accesses N]\n"
                "               [--emit] [--simulate] [--report] "
@@ -149,7 +141,6 @@ int main(int argc, char **argv) {
   MachineModel Machine;
   bool Emit = false, Simulate = false, Report = false;
   bool Estimate = false, Stats = false;
-  bool AnalysisCache = true;
   std::string StatsJsonFile;
   enum class SchemeKind { Pad, PadLite, Search };
   SchemeKind Scheme = SchemeKind::Pad;
@@ -203,40 +194,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--seed") {
       SearchOpts.Seed = NextInt(uint64_t(0), U64Max);
     } else if (Arg == "--deadline") {
-      double Secs = std::atof(Next());
-      if (Secs <= 0) {
-        std::fprintf(stderr, "error: --deadline must be positive\n");
-        return ExitUsage;
-      }
-      SearchOpts.DeadlineSeconds = Secs;
-    } else if (Arg == "--prescreen" ||
-               Arg.rfind("--prescreen=", 0) == 0) {
-      std::string V =
-          Arg == "--prescreen" ? std::string(Next()) : Arg.substr(12);
-      if (V == "on") {
-        SearchOpts.Prescreen = search::PrescreenMode::On;
-      } else if (V == "off") {
-        SearchOpts.Prescreen = search::PrescreenMode::Off;
-      } else if (V == "auto") {
-        SearchOpts.Prescreen = search::PrescreenMode::Auto;
-      } else {
-        std::fprintf(stderr,
-                     "error: --prescreen takes 'on', 'off' or 'auto'\n");
-        return ExitUsage;
-      }
-    } else if (Arg == "--analysis-cache" ||
-               Arg.rfind("--analysis-cache=", 0) == 0) {
-      std::string V = Arg == "--analysis-cache" ? std::string(Next())
-                                                : Arg.substr(17);
-      if (V == "on") {
-        AnalysisCache = true;
-      } else if (V == "off") {
-        AnalysisCache = false;
-      } else {
-        std::fprintf(stderr,
-                     "error: --analysis-cache takes 'on' or 'off'\n");
-        return ExitUsage;
-      }
+      SearchOpts.DeadlineSeconds =
+          parseNumberFlag(Arg, Next(), /*ZeroAllowed=*/false, ExitUsage);
     } else if (Arg == "--max-footprint") {
       Limits.MaxFootprintBytes = NextInt(int64_t(1), I64Max);
     } else if (Arg == "--max-accesses") {
@@ -371,7 +330,7 @@ int main(int argc, char **argv) {
 
   // One instrumented pipeline per run: the scheme below, --estimate and
   // --stats all share its analysis manager.
-  pipeline::PadPipeline PP(*P, AnalysisCache);
+  pipeline::PadPipeline PP(*P);
 
   // On a multi-level machine the conflict report runs once per
   // set-mapped cache level (TLBs and fully associative levels cannot
@@ -410,10 +369,6 @@ int main(int argc, char **argv) {
                 SR.DuplicatesSkipped);
     std::printf("  simulations: %u over %u rounds (%u restarts)\n",
                 SR.ExactEvaluations, SR.Rounds, SR.Restarts);
-    if (SR.PrescreenActive)
-      std::printf("  prescreen: active, %u candidates kept from the "
-                  "simulator by the lattice predictor\n",
-                  SR.PrescreenSkipped);
     for (const std::string &Line : SR.Log)
       std::printf("  %s\n", Line.c_str());
     std::printf("  outcome: %s%s%s\n",
@@ -554,9 +509,6 @@ int main(int argc, char **argv) {
               JW.field("restarts", SearchRes->Restarts);
               JW.field("outcome",
                        search::outcomeName(SearchRes->Outcome));
-              JW.field("prescreen_active", SearchRes->PrescreenActive);
-              JW.field("prescreen_skipped",
-                       SearchRes->PrescreenSkipped);
               JW.field("candidates_generated",
                        SearchRes->CandidatesGenerated);
               JW.endObject();

@@ -89,8 +89,9 @@ struct NestPrediction {
   /// came out zero, so every per-nest number above is zero as "no
   /// signal", not "no misses". countGroupIterations enumerates outer
   /// loops exactly, so triangular nests (DGEFA, CHOL, MULT) are counted
-  /// and scored. Consumers that rank by predicted misses (prescreen
-  /// auto, model_accuracy) use this to tell the two apart.
+  /// and scored. Consumers that compare predicted misses
+  /// (bench/model_accuracy, the `unscored_nests` counters) use this to
+  /// tell the two apart.
   bool Unscored = false;
 };
 

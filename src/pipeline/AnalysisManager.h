@@ -177,8 +177,8 @@ public:
   const std::vector<analysis::ConflictEntry> &
   severeConflicts(const layout::DataLayout &DL, const CacheConfig &Cache);
   /// The static miss model (analysis::predictConflicts): the
-  /// simulation-free tier behind search pre-screening, the lint rules'
-  /// severities and `padtool --estimate`. Multi-level consumers query it
+  /// simulation-free tier behind the search's static pruning, the lint
+  /// rules' severities and `padtool --estimate`. Multi-level consumers query it
   /// once per level.
   const analysis::LatticePrediction &
   latticePrediction(const layout::DataLayout &DL,

@@ -41,38 +41,25 @@ int64_t gapCeiling(const MachineModel &Machine) {
 } // namespace
 
 CandidateGenerator::CandidateGenerator(const ir::Program &P,
-                                       const MachineModel &Machine)
-    : Prog(P), Cache(Machine.firstCache()), Machine(Machine),
-      GapCeiling(gapCeiling(Machine)), Safety(analysis::analyzeSafety(P)),
-      MaxPadElems(kMaxPadElems) {
-  initKnobs();
-  initSeeds(pad::runPad(P, Cache).Layout,
-            pad::runPadLite(P, Cache).Layout);
-  addMachineSeeds(nullptr);
-}
-
-CandidateGenerator::CandidateGenerator(const ir::Program &P,
                                        const MachineModel &Machine,
                                        pipeline::PadPipeline &PP)
     : Prog(P), Cache(Machine.firstCache()), Machine(Machine),
-      GapCeiling(gapCeiling(Machine)), AM(&PP.analysis()),
+      GapCeiling(gapCeiling(Machine)), AM(PP.analysis()),
       Safety(PP.analysis().safety()), MaxPadElems(kMaxPadElems) {
   assert(&PP.analysis().program() == &P &&
          "pipeline built over a different program");
   initKnobs();
   initSeeds(pad::runPad(P, Cache, PP).Layout,
             pad::runPadLite(P, Cache, PP).Layout);
-  addMachineSeeds(&PP);
+  addMachineSeeds(PP);
 }
 
-void CandidateGenerator::addMachineSeeds(pipeline::PadPipeline *PP) {
+void CandidateGenerator::addMachineSeeds(pipeline::PadPipeline &PP) {
   if (Machine.isSingleLevel())
     return;
-  pad::PaddingResult R =
-      PP ? pad::applyPadding(Prog, Machine, pad::PaddingScheme::pad(),
-                             *PP)
-         : pad::applyPadding(Prog, Machine, pad::PaddingScheme::pad());
-  Candidate C = project(R.Layout);
+  Candidate C = project(
+      pad::applyPadding(Prog, Machine, pad::PaddingScheme::pad(), PP)
+          .Layout);
   if (std::find(Seeds.begin(), Seeds.end(), C) == Seeds.end())
     Seeds.push_back(std::move(C));
 }
@@ -165,12 +152,8 @@ bool CandidateGenerator::randomMove(Candidate &C,
 }
 
 bool CandidateGenerator::repairWorstConflict(Candidate &C) const {
-  layout::DataLayout DL = materialize(Prog, C);
-  std::vector<analysis::ConflictEntry> Local;
-  if (!AM)
-    Local = analysis::reportConflicts(DL, Cache, /*SevereOnly=*/true);
   const std::vector<analysis::ConflictEntry> &Entries =
-      AM ? AM->severeConflicts(DL, Cache) : Local;
+      AM.severeConflicts(materialize(Prog, C), Cache);
   if (Entries.empty())
     return false;
   // Worst pair: smallest conflict distance, ties broken by array id so

@@ -37,22 +37,17 @@ namespace search {
 
 class CandidateGenerator {
 public:
-  /// Analyzes \p P once (safety, heuristic seeds). \p P must outlive
-  /// the generator. Moves and repair run at the first cache level's
+  /// Analyzes \p P once (safety, heuristic seeds) through \p PP, an
+  /// instrumented pipeline over the same program: safety comes from
+  /// \p PP.analysis(), the heuristic seeds run through \p PP (their
+  /// passes show up in its stats), and the greedy repair reads memoized
+  /// conflict reports. Moves and repair run at the first cache level's
   /// geometry, gap moves may reach the largest level's way span, and on
   /// a multi-level machine the seed set additionally carries the
   /// multi-level PAD projection (applyPadding over every level). The
-  /// PAD baseline seed stays first either way.
-  CandidateGenerator(const ir::Program &P, const MachineModel &Machine);
-  CandidateGenerator(ir::Program &&, const MachineModel &) = delete;
-
-  /// As above through an instrumented pipeline over the same program:
-  /// safety comes from \p PP.analysis(), the heuristic seeds run through
-  /// \p PP (their passes show up in its stats), and the greedy repair
-  /// reads memoized conflict reports instead of recomputing reference
-  /// groups per candidate. \p PP must outlive the generator and is only
-  /// touched from the thread calling neighbors()/perturb() — the manager
-  /// is not thread-safe.
+  /// PAD baseline seed stays first either way. \p P and \p PP must
+  /// outlive the generator, and \p PP is only touched from the thread
+  /// calling neighbors()/perturb() — the manager is not thread-safe.
   CandidateGenerator(const ir::Program &P, const MachineModel &Machine,
                      pipeline::PadPipeline &PP);
   CandidateGenerator(ir::Program &&, const MachineModel &,
@@ -89,7 +84,7 @@ public:
   const analysis::SafetyInfo &safety() const { return Safety; }
 
 private:
-  /// Shared constructor tail: the knob lists, then the deduplicated
+  /// Constructor steps: the knob lists, then the deduplicated
   /// heuristic seeds (PAD's projection first).
   void initKnobs();
   void initSeeds(const layout::DataLayout &PadLayout,
@@ -103,14 +98,13 @@ private:
   void clamp(Candidate &C) const;
 
   /// Multi-level extra seed, called after initSeeds.
-  void addMachineSeeds(pipeline::PadPipeline *PP);
+  void addMachineSeeds(pipeline::PadPipeline &PP);
 
   const ir::Program &Prog;
   CacheConfig Cache; ///< First cache level (move granularity).
   MachineModel Machine;
   int64_t GapCeiling = 0; ///< Largest cache level's way span.
-  /// Memoizing manager when pipeline-constructed, else null.
-  pipeline::AnalysisManager *AM = nullptr;
+  pipeline::AnalysisManager &AM;
   analysis::SafetyInfo Safety;
   std::vector<Candidate> Seeds;
   size_t PadSeed = 0;

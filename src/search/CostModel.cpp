@@ -12,6 +12,7 @@
 #include "exec/TraceRunner.h"
 #include "pipeline/AnalysisManager.h"
 
+#include <cassert>
 #include <optional>
 
 using namespace padx;
@@ -76,23 +77,15 @@ CostSample SimulationCostModel::evaluate(
 }
 
 CostSample StaticCostModel::evaluate(const layout::DataLayout &DL) const {
-  const bool Memo = AM && &DL.program() == &AM->program();
-  std::vector<analysis::LoopGroup> Groups;
-  std::vector<double> Iterations;
-  if (!Memo) {
-    Groups = analysis::collectLoopGroups(DL.program());
-    Iterations = analysis::countGroupIterations(Groups);
-  }
+  assert(&DL.program() == &AM.program() &&
+         "layout of a program the manager does not analyze");
   CostSample S;
   S.LevelMisses.reserve(Machine.numLevels());
   for (const CacheLevel &L : Machine.Levels) {
     // Fold each level in before querying the next: a later query may
     // sweep the manager's layout cache and take this entry with it.
-    std::optional<analysis::LatticePrediction> Local;
     const analysis::LatticePrediction &P =
-        Memo ? AM->latticePrediction(DL, L.Geometry)
-             : Local.emplace(analysis::predictConflicts(DL, L.Geometry,
-                                                        Groups, Iterations));
+        AM.latticePrediction(DL, L.Geometry);
     S.Cost += L.Weight * P.PredictedMisses;
     S.LevelMisses.push_back(P.PredictedMisses);
     if (S.Accesses == 0 && !L.IsTlb)

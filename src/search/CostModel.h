@@ -7,8 +7,8 @@
 /// \file
 /// The two cost models the search engine ranks layout candidates with:
 /// a layout goes in, a lower-is-better score comes out. The cheap one
-/// (the static lattice predictor) prunes and pre-screens candidates on
-/// the generation thread; the exact one (trace-driven simulation)
+/// (the static lattice predictor) prunes candidates on the generation
+/// thread; the exact one (trace-driven simulation)
 /// accepts them, one candidate per call, concurrently from the
 /// engine's thread pool. Both take the machine they score for as a
 /// MachineModel — a single cache level is just a one-level machine.
@@ -91,34 +91,32 @@ private:
 /// (analysis::predictConflicts). Cost = predicted misses — the reuse
 /// floor plus lattice-attributed conflict volume. Orders of magnitude
 /// cheaper than simulation and good at ranking, which is what pruning
-/// and pre-screening need; bench/model_accuracy cross-validates the
-/// ranking against the simulator.
+/// needs; bench/model_accuracy cross-validates the ranking against the
+/// simulator.
 ///
-/// With an AnalysisManager attached, estimates route through it: the
+/// Estimates route through the search's AnalysisManager: the
 /// layout-independent inputs (reference groups, iteration counts) are
 /// computed once per search instead of once per candidate, and repeated
 /// estimates of the same layout hit the manager's cache outright. The
-/// manager is not thread-safe, so an attached model is not either — the
-/// search engine only ever calls it from the single-threaded generation
-/// side, never from the pool.
-/// Every machine takes one path: each level's prediction (the manager's
-/// memoized per-geometry entry when attached, read in place) adds
+/// manager is not thread-safe, so the model is not either — the search
+/// engine only ever calls it from the single-threaded generation side,
+/// never from the pool. Every machine takes one path: each level's
+/// memoized per-geometry prediction, read in place, adds
 /// Weight * PredictedMisses to Cost, so a one-level machine is just the
 /// one-iteration case, and one level's entry serves every machine that
 /// shares its geometry.
 class StaticCostModel {
 public:
-  explicit StaticCostModel(const MachineModel &Machine,
-                           pipeline::AnalysisManager *AM = nullptr)
+  /// \p AM must outlive the model; every layout evaluated must belong
+  /// to \p AM's program.
+  StaticCostModel(const MachineModel &Machine, pipeline::AnalysisManager &AM)
       : Machine(Machine), AM(AM) {}
 
   CostSample evaluate(const layout::DataLayout &DL) const;
-  std::string name() const { return "static-estimate"; }
 
 private:
   MachineModel Machine;
-  /// Optional memoization; used only when it manages DL's program.
-  pipeline::AnalysisManager *AM;
+  pipeline::AnalysisManager &AM;
 };
 
 } // namespace search

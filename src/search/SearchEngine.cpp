@@ -35,26 +35,10 @@ constexpr unsigned kMaxStaleRounds = 2;
 /// Random moves applied to a seed on restart.
 constexpr unsigned kRestartPerturbMoves = 3;
 /// Prune candidates whose static estimate exceeds the incumbent's by
-/// this factor before paying for simulation. Not applied while
-/// pre-screening is active (the rank cut subsumes it).
+/// this factor before paying for simulation.
 constexpr double kPruneSlack = 1.10;
-/// Fraction of each round's fresh candidates the active pre-screen
-/// keeps for exact evaluation (at least one survives per round).
-constexpr double kPrescreenKeep = 0.5;
 
 } // namespace
-
-const char *search::prescreenModeName(PrescreenMode M) {
-  switch (M) {
-  case PrescreenMode::Off:
-    return "off";
-  case PrescreenMode::On:
-    return "on";
-  case PrescreenMode::Auto:
-    return "auto";
-  }
-  return "unknown";
-}
 
 const char *search::outcomeName(SearchOutcome O) {
   switch (O) {
@@ -86,7 +70,7 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
     Gen.addSeedLayout(DL);
   SimulationCostModel Exact(Machine);
   Exact.prepareReplay(P);
-  StaticCostModel Static(Machine, &PP.analysis());
+  StaticCostModel Static(Machine, PP.analysis());
   ThreadPool Pool(Opts.Threads);
   std::mt19937_64 Rng(Opts.Seed);
 
@@ -142,23 +126,6 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
     }
   }
 
-  // Two-tier pre-screening: On forces it, Auto engages it when the
-  // lattice predictor can see the program at all (a program of nothing
-  // but indirect references scores 0 accesses statically — ranking by
-  // the predictor would be noise, so Auto falls back to slack pruning).
-  const bool PrescreenOn =
-      Opts.Prescreen == PrescreenMode::On ||
-      (Opts.Prescreen == PrescreenMode::Auto &&
-       Static.evaluate(R.BestLayout).Accesses > 0);
-  R.PrescreenActive = PrescreenOn;
-  if (PrescreenOn) {
-    std::ostringstream OS;
-    OS << "prescreen active (" << prescreenModeName(Opts.Prescreen)
-       << "): replaying top " << kPrescreenKeep
-       << " of each round statically ranked by " << Static.name();
-    R.Log.push_back(OS.str());
-  }
-
   Candidate GlobalBest = Seeds.front();
   double GlobalBestCost = SeedSamples.front().Cost;
   std::vector<double> GlobalBestLevels = SeedSamples.front().LevelMisses;
@@ -182,13 +149,13 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
   // Degradation machinery: the climb below may stop for reasons other
   // than convergence (deadline, cancellation, a throwing evaluation).
   // Every stop path keeps the best-so-far candidate — which includes the
-  // already-evaluated PAD seed — so the result is always valid.
+  // already-evaluated PAD seed — so the result is always valid. The
+  // deadline is compared as elapsed seconds in a double: turning it into
+  // a clock time point overflows past 2^63 ns (about 292 years) and puts
+  // a huge deadline in the past.
   using Clock = std::chrono::steady_clock;
   const bool HasDeadline = Opts.DeadlineSeconds > 0;
-  const Clock::time_point Deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             HasDeadline ? Opts.DeadlineSeconds : 0));
+  const Clock::time_point ClimbStart = Clock::now();
   auto Stop = [&](SearchOutcome O, std::string Detail) {
     R.Outcome = O;
     R.OutcomeDetail = std::move(Detail);
@@ -217,7 +184,9 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
                std::to_string(R.ExactEvaluations) + " evaluations");
       break;
     }
-    if (HasDeadline && Clock::now() >= Deadline) {
+    if (HasDeadline &&
+        std::chrono::duration<double>(Clock::now() - ClimbStart).count() >=
+            Opts.DeadlineSeconds) {
       std::ostringstream OS;
       OS << "deadline of " << Opts.DeadlineSeconds << "s expired after "
          << R.ExactEvaluations << " evaluations";
@@ -226,11 +195,6 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
     }
     try {
     ++R.Rounds;
-    // Pre-screening draws the same candidate pool full search would
-    // (same RNG stream), so the two climbs walk identical trajectories
-    // except where the predictor mis-ranks a round's winner out of the
-    // replayed top — and the stall backfill below recovers even that
-    // when the top fraction finds nothing.
     std::vector<Candidate> Proposed =
         Gen.neighbors(Current, Rng, kNeighborsPerRound);
     R.CandidatesGenerated += static_cast<unsigned>(Proposed.size());
@@ -249,48 +213,11 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
         ++R.DuplicatesSkipped;
     }
 
-    std::vector<Candidate> Deferred;
-    std::vector<double> DeferredEst; // ascending: Deferred is ranked
-    // Estimate of the worst candidate the screen kept: deferred
-    // candidates tied with it lost only to the deterministic
-    // tie-break, not to the predictor.
-    double KeptBoundaryEst = -std::numeric_limits<double>::infinity();
-    if (PrescreenOn && Fresh.size() > 1) {
-      // Tier one: rank the whole round by predicted misses and hand
-      // only the top fraction to the simulator. Runs on the generation
-      // thread (the static model's manager is not thread-safe); ties
-      // break toward the lower proposal index, keeping the climb
-      // deterministic. The remainder is deferred, not dropped: a
-      // stalled round replays it below before conceding.
-      std::vector<double> Est(Fresh.size());
-      for (size_t I = 0; I != Fresh.size(); ++I)
-        Est[I] = Static.evaluate(materialize(P, Fresh[I])).Cost;
-      size_t Keep = std::max<size_t>(
-          1, static_cast<size_t>(Fresh.size() * kPrescreenKeep));
-      if (Keep < Fresh.size()) {
-        std::vector<size_t> Idx(Fresh.size());
-        for (size_t I = 0; I != Idx.size(); ++I)
-          Idx[I] = I;
-        std::stable_sort(Idx.begin(), Idx.end(),
-                         [&](size_t A, size_t B) {
-                           return Est[A] < Est[B];
-                         });
-        std::vector<Candidate> Kept;
-        Kept.reserve(Keep);
-        for (size_t I = 0; I != Keep; ++I)
-          Kept.push_back(std::move(Fresh[Idx[I]]));
-        KeptBoundaryEst = Est[Idx[Keep - 1]];
-        Deferred.reserve(Idx.size() - Keep);
-        DeferredEst.reserve(Idx.size() - Keep);
-        for (size_t I = Keep; I != Idx.size(); ++I) {
-          Deferred.push_back(std::move(Fresh[Idx[I]]));
-          DeferredEst.push_back(Est[Idx[I]]);
-        }
-        Fresh = std::move(Kept);
-      }
-    } else if (Fresh.size() > 1) {
+    if (Fresh.size() > 1) {
       // Rank by the cheap model first; only simulate candidates the
       // estimator does not consider clearly worse than the incumbent.
+      // Runs on the generation thread: the static model's manager is
+      // not thread-safe.
       double Incumbent =
           Static.evaluate(materialize(P, Current)).Cost;
       double Threshold = Incumbent * kPruneSlack;
@@ -319,18 +246,18 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
       ++Stale;
     } else {
       DryRounds = 0;
-      // Replays a batch and folds its best into the climb state;
-      // returns whether it beat the incumbent.
-      auto Replay = [&](std::vector<Candidate> &Batch) {
-        std::vector<CostSample> Samples = evaluateBatch(Batch);
-        Budget -= static_cast<unsigned>(Batch.size());
-        size_t RoundBest = 0;
-        for (size_t I = 1; I != Samples.size(); ++I)
-          if (Samples[I].Cost < Samples[RoundBest].Cost)
-            RoundBest = I;
-        if (Samples[RoundBest].Cost >= CurrentCost)
-          return false;
-        Current = Batch[RoundBest];
+      // Replay the survivors and fold the round's best into the climb.
+      std::vector<CostSample> Samples = evaluateBatch(Fresh);
+      Budget -= static_cast<unsigned>(Fresh.size());
+      size_t RoundBest = 0;
+      for (size_t I = 1; I != Samples.size(); ++I)
+        if (Samples[I].Cost < Samples[RoundBest].Cost)
+          RoundBest = I;
+      if (Samples[RoundBest].Cost >= CurrentCost) {
+        ++Stale;
+      } else {
+        Stale = 0;
+        Current = Fresh[RoundBest];
         CurrentCost = Samples[RoundBest].Cost;
         if (CurrentCost < GlobalBestCost) {
           GlobalBest = Current;
@@ -342,43 +269,7 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
              << ")";
           R.Log.push_back(OS.str());
         }
-        return true;
-      };
-
-      unsigned DeferredCount = static_cast<unsigned>(Deferred.size());
-      unsigned Backfilled = 0;
-      double Incumbent = CurrentCost;
-      bool Improved = Replay(Fresh);
-      if (DeferredCount != 0 && Budget > 0) {
-        if (Improved) {
-          // Bound continuation: even after the top fraction improved,
-          // a deferred candidate is still a credible round winner if
-          // the predictor scored it below the pre-round incumbent
-          // (both are miss counts), or tied it with a candidate the
-          // screen did replay — a tie says the predictor has no
-          // opinion, so the tie-break alone must not cost a win.
-          size_t Take = 0;
-          while (Take != Deferred.size() &&
-                 (DeferredEst[Take] < Incumbent ||
-                  DeferredEst[Take] <= KeptBoundaryEst))
-            ++Take;
-          Deferred.resize(Take);
-        }
-        // Otherwise stall backfill: a round whose predictor-ranked top
-        // found nothing replays the whole skipped remainder before
-        // conceding — the screen defers simulations, never loses one.
-        if (Deferred.size() > Budget)
-          Deferred.resize(Budget);
-        Backfilled = static_cast<unsigned>(Deferred.size());
-        if (!Deferred.empty())
-          Improved = Replay(Deferred) || Improved;
       }
-      R.PrescreenSkipped += DeferredCount - Backfilled;
-      R.PrunedStatic += DeferredCount - Backfilled;
-      if (Improved)
-        Stale = 0;
-      else
-        ++Stale;
     }
 
     if (Stale > kMaxStaleRounds && Budget > 0) {

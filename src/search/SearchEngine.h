@@ -39,16 +39,6 @@ class PadPipeline;
 
 namespace search {
 
-/// Two-tier candidate evaluation: statically score every proposed
-/// neighbor with the lattice predictor and replay only the top fraction
-/// through the simulator. Off keeps the classic slack-based pruning;
-/// Auto enables pre-screening whenever the predictor can see the
-/// program (it has analyzable references), falling back to Off
-/// otherwise.
-enum class PrescreenMode { Off, On, Auto };
-
-const char *prescreenModeName(PrescreenMode M);
-
 struct SearchOptions {
   /// Machine model to optimize for. The climb ranks by the weighted
   /// per-level miss cost sum_l Weight_l * Misses_l, which on the
@@ -65,7 +55,7 @@ struct SearchOptions {
   uint64_t Seed = 0;
 
   /// Extra warm-start layouts, evaluated alongside the heuristic seeds
-  /// (exempt from pre-screening, like every seed). Each is projected
+  /// (exempt from static pruning, like every seed). Each is projected
   /// into candidate coordinates and clamped to the safety analysis; a
   /// layout produced by a previous search on the same program projects
   /// losslessly, so chaining searches — e.g. re-optimizing an L1-only
@@ -73,16 +63,10 @@ struct SearchOptions {
   /// than the warm start.
   std::vector<layout::DataLayout> SeedLayouts;
 
-  /// Two-tier pre-screened evaluation (--prescreen on the tools): each
-  /// round replays only the statically best-ranked half of its fresh
-  /// candidates. The seed candidates are exempt — they always replay,
-  /// preserving the "never worse than PAD" guarantee.
-  PrescreenMode Prescreen = PrescreenMode::Off;
-
-  /// Wall-clock deadline in seconds (0 = none). The seed evaluations
-  /// always run — they carry the "never worse than PAD" guarantee — but
-  /// the climb stops at the deadline and the best-so-far candidate is
-  /// returned with a DeadlineExpired outcome.
+  /// Wall-clock deadline in seconds (0 = none; +inf never expires). The
+  /// seed evaluations always run — they carry the "never worse than
+  /// PAD" guarantee — but the climb stops at the deadline and the
+  /// best-so-far candidate is returned with a DeadlineExpired outcome.
   double DeadlineSeconds = 0;
 
   /// Optional cancellation token polled between evaluation batches. Set
@@ -148,11 +132,6 @@ struct SearchResult {
   unsigned CandidatesGenerated = 0; ///< Proposed, including duplicates.
   unsigned DuplicatesSkipped = 0;
   unsigned PrunedStatic = 0; ///< Skipped on the static model's verdict.
-  /// True when the two-tier pre-screen ran (Prescreen=On, or Auto with
-  /// a predictor-visible program); PrescreenSkipped counts candidates
-  /// it kept away from the simulator (a subset of PrunedStatic).
-  bool PrescreenActive = false;
-  unsigned PrescreenSkipped = 0;
   unsigned ExactEvaluations = 0;
   unsigned Rounds = 0;
   unsigned Restarts = 0;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 
@@ -232,7 +233,9 @@ bool Client::run(const std::vector<std::string> &Frames,
                              " ms");
         continue;
       }
-      int L = static_cast<int>(std::ceil(Left));
+      // Clamped: a timeout past INT_MAX ms would not fit poll()'s int.
+      int L = static_cast<int>(std::min<double>(
+          std::ceil(Left), std::numeric_limits<int>::max()));
       TimeoutMs = TimeoutMs < 0 ? L : std::min(TimeoutMs, L);
     }
 

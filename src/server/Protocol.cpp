@@ -200,13 +200,6 @@ bool server::parseRequest(const support::JsonValue &Doc, Request &R,
       !intField(Doc, "seed", std::numeric_limits<int64_t>::min(),
                 kInt64Max, R.SearchSeed, Error))
     return false;
-  R.SearchPrescreen = Doc.getString("prescreen", R.SearchPrescreen);
-  if (R.SearchPrescreen != "off" && R.SearchPrescreen != "on" &&
-      R.SearchPrescreen != "auto") {
-    Error = "unknown prescreen mode '" + R.SearchPrescreen +
-            "' (expected off, on or auto)";
-    return false;
-  }
 
   if (R.Operation == Op::Shutdown) {
     if (const support::JsonValue *ModeV = Doc.find("mode")) {

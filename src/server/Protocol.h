@@ -98,8 +98,6 @@ struct Request {
   // Search knobs (search op only).
   int64_t SearchBudget = 48; ///< 1 .. 2^32-1 exact evaluations.
   int64_t SearchSeed = 0;
-  /// Two-tier pre-screened search: "off" | "on" | "auto".
-  std::string SearchPrescreen = "off";
 
   // Shutdown knobs (shutdown op only). "now" answers and stops
   // immediately; "drain" stops accepting and finishes in-flight work

@@ -258,8 +258,7 @@ std::string RequestHandler::dispatch(const Request &R) {
     if (R.ShutdownMode == "drain") {
       DrainReq.store(true, std::memory_order_release);
       if (R.DrainMs > 0)
-        DrainMs.store(static_cast<uint64_t>(R.DrainMs),
-                      std::memory_order_release);
+        DrainMs.store(R.DrainMs, std::memory_order_release);
     }
     Shutdown.store(true, std::memory_order_release);
     ResponseBuilder B(R.Id, R.Operation, "complete");
@@ -477,11 +476,6 @@ std::string RequestHandler::dispatch(const Request &R) {
     // comes from serving many requests, not from one climb.
     SO.Threads = 1;
     SO.Seed = static_cast<uint64_t>(R.SearchSeed);
-    SO.Prescreen = R.SearchPrescreen == "on"
-                       ? search::PrescreenMode::On
-                   : R.SearchPrescreen == "auto"
-                       ? search::PrescreenMode::Auto
-                       : search::PrescreenMode::Off;
     SO.Cancel = Cancel;
     if (Ctx.hasDeadline())
       SO.DeadlineSeconds = std::max(Ctx.remainingSecs(), 1e-6);
@@ -530,8 +524,6 @@ std::string RequestHandler::dispatch(const Request &R) {
     JW.field("exact_evaluations", SR.ExactEvaluations);
     JW.field("rounds", SR.Rounds);
     JW.field("restarts", SR.Restarts);
-    JW.field("prescreen_active", SR.PrescreenActive);
-    JW.field("prescreen_skipped", SR.PrescreenSkipped);
     JW.field("candidates_generated", SR.CandidatesGenerated);
     if (R.Emit)
       JW.field("transformed_source",

@@ -135,7 +135,7 @@ public:
   /// The drain_ms the shutdown request named; 0 = use the server
   /// default.
   double requestedDrainMs() const {
-    return static_cast<double>(DrainMs.load(std::memory_order_acquire));
+    return DrainMs.load(std::memory_order_acquire);
   }
 
   uint64_t requestsServed() const {
@@ -174,7 +174,7 @@ private:
   const ServerLoadStats *Load;
   std::atomic<bool> Shutdown{false};
   std::atomic<bool> DrainReq{false};
-  std::atomic<uint64_t> DrainMs{0};
+  std::atomic<double> DrainMs{0};
   std::atomic<uint64_t> Served{0};
   std::atomic<uint64_t> Failed{0};
   std::atomic<uint64_t> PredUnscored{0};

@@ -251,10 +251,11 @@ TEST(LatticePredictor, PaddingRemovesPredictedConflicts) {
 }
 
 TEST(LatticePredictor, CorpusRankCorrelation) {
-  // The regression the prescreen tier rests on: ranked by predicted
-  // conflict rate, the corpus (every kernel x original/PADLITE/PAD)
-  // must track the simulator's classified conflict rate with Spearman
-  // >= 0.8 on the base geometry. Deterministic on both sides.
+  // The regression the search's static pruning rests on: ranked by
+  // predicted conflict rate, the corpus (every kernel x
+  // original/PADLITE/PAD) must track the simulator's classified
+  // conflict rate with Spearman >= 0.8 on the base geometry.
+  // Deterministic on both sides.
   const auto &Kernels = kernels::allKernels();
   struct Sample {
     double Est = 0, Sim = 0;

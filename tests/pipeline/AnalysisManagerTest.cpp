@@ -206,7 +206,7 @@ TEST(AnalysisManager, MachineLevelReusesSingleGeometryPrediction) {
 
   AnalysisManager AM(P);
   AM.latticePrediction(DL, kCache);
-  search::StaticCostModel(L2, &AM).evaluate(DL);
+  search::StaticCostModel(L2, AM).evaluate(DL);
   const AnalysisCounters &Local =
       AM.stats().of(AnalysisKind::LatticePrediction);
   EXPECT_EQ(Local.Hits, 1u) << "the L1 level must reuse the base16k entry";
@@ -218,7 +218,7 @@ TEST(AnalysisManager, MachineLevelReusesSingleGeometryPrediction) {
   Warm.latticePrediction(DL, kCache);
   AnalysisManager Served(P);
   Served.attachSharedCache(&Shared);
-  search::StaticCostModel(L2, &Served).evaluate(DL);
+  search::StaticCostModel(L2, Served).evaluate(DL);
   const AnalysisCounters &Across =
       Served.stats().of(AnalysisKind::LatticePrediction);
   EXPECT_EQ(Across.SharedHits, 1u)

@@ -9,8 +9,8 @@
 /// selection: when several severe conflicts tie on conflict distance the
 /// repair must target the lowest array-id pair — a documented tie-break,
 /// so the candidate stream is stable across platforms and report
-/// orderings — and the pipeline-backed generator must propose exactly
-/// the same candidates as the legacy one.
+/// orderings — and the repair must read its conflict reports through
+/// the pipeline's analysis manager.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +57,8 @@ loop i = 1, 2048 {
 
 TEST(CandidateGenerator, RepairBreaksConflictTiesByLowestArrayIds) {
   ir::Program P = tiedConflictProgram();
-  CandidateGenerator Gen(P, kMachine);
+  pipeline::PadPipeline PP(P);
+  CandidateGenerator Gen(P, kMachine, PP);
 
   // Count 1 isolates the repair proposal: no random moves are drawn.
   std::mt19937_64 Rng(0);
@@ -77,29 +78,32 @@ TEST(CandidateGenerator, RepairBreaksConflictTiesByLowestArrayIds) {
 
 TEST(CandidateGenerator, RepairIsDeterministicAcrossRuns) {
   ir::Program P = tiedConflictProgram();
-  CandidateGenerator Gen(P, kMachine);
+  pipeline::PadPipeline PP(P);
+  CandidateGenerator Gen(P, kMachine, PP);
   std::mt19937_64 RngA(7), RngB(7);
   std::vector<Candidate> A = Gen.neighbors(zeroCandidate(P), RngA, 4);
   std::vector<Candidate> B = Gen.neighbors(zeroCandidate(P), RngB, 4);
   EXPECT_EQ(A, B);
 }
 
-TEST(CandidateGenerator, PipelineBackedGeneratorProposesSameCandidates) {
+TEST(CandidateGenerator, RepairReadsConflictReportsThroughTheManager) {
   ir::Program P = tiedConflictProgram();
-  CandidateGenerator Legacy(P, kMachine);
   pipeline::PadPipeline PP(P);
-  CandidateGenerator Piped(P, kMachine, PP);
+  CandidateGenerator Gen(P, kMachine, PP);
+  auto Reports = [&] {
+    return PP.stats().Analysis.of(pipeline::AnalysisKind::ConflictReport);
+  };
+  const pipeline::AnalysisCounters Before = Reports();
 
-  EXPECT_EQ(Legacy.seeds(), Piped.seeds());
-  EXPECT_EQ(Legacy.padSeedIndex(), Piped.padSeedIndex());
+  // Count 1 isolates the repair: one report query, memoized.
+  std::mt19937_64 Rng(3);
+  ASSERT_EQ(Gen.neighbors(zeroCandidate(P), Rng, 1).size(), 1u);
+  const pipeline::AnalysisCounters After = Reports();
+  EXPECT_EQ(After.Hits + After.Misses, Before.Hits + Before.Misses + 1);
+  EXPECT_GT(After.Misses, 0u);
 
-  std::mt19937_64 RngA(3), RngB(3);
-  EXPECT_EQ(Legacy.neighbors(zeroCandidate(P), RngA, 6),
-            Piped.neighbors(zeroCandidate(P), RngB, 6));
-
-  // The repair path went through the manager: conflict reports cached.
-  EXPECT_GT(PP.stats()
-                .Analysis.of(pipeline::AnalysisKind::ConflictReport)
-                .Misses,
-            0u);
+  // Repairing the same candidate again hits the manager's entry.
+  Gen.neighbors(zeroCandidate(P), Rng, 1);
+  EXPECT_EQ(Reports().Misses, After.Misses);
+  EXPECT_EQ(Reports().Hits, After.Hits + 1);
 }

@@ -20,6 +20,7 @@
 #include "frontend/Parser.h"
 #include "kernels/Kernels.h"
 #include "pipeline/AnalysisManager.h"
+#include "pipeline/PadPipeline.h"
 #include "search/Candidate.h"
 #include "search/CandidateGenerator.h"
 #include "search/CostModel.h"
@@ -27,6 +28,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <limits>
 
 using namespace padx;
 
@@ -91,7 +93,8 @@ TEST(Candidate, KeyDistinguishesCandidates) {
 TEST(CandidateGenerator, SeedsContainPadFirstAndAreDeduplicated) {
   ir::Program P = smallKernel("expl");
   CacheConfig Cache = CacheConfig::base16K();
-  search::CandidateGenerator Gen(P, MachineModel::singleLevel(Cache));
+  pipeline::PadPipeline PP(P);
+  search::CandidateGenerator Gen(P, MachineModel::singleLevel(Cache), PP);
   ASSERT_FALSE(Gen.seeds().empty());
   EXPECT_EQ(Gen.padSeedIndex(), 0u);
   EXPECT_EQ(Gen.seeds().front(),
@@ -105,7 +108,8 @@ TEST(CandidateGenerator, SeedsContainPadFirstAndAreDeduplicated) {
 TEST(CandidateGenerator, NeighborsRespectSafetyAndBounds) {
   ir::Program P = smallKernel("dgefa");
   CacheConfig Cache = CacheConfig::base16K();
-  search::CandidateGenerator Gen(P, MachineModel::singleLevel(Cache));
+  pipeline::PadPipeline PP(P);
+  search::CandidateGenerator Gen(P, MachineModel::singleLevel(Cache), PP);
   std::mt19937_64 Rng(7);
   search::Candidate Base = search::zeroCandidate(P);
   for (int Round = 0; Round != 20; ++Round) {
@@ -130,7 +134,8 @@ TEST(CandidateGenerator, NeighborsRespectSafetyAndBounds) {
 
 TEST(CandidateGenerator, NeighborsAreDeterministicGivenRngState) {
   ir::Program P = smallKernel("expl");
-  search::CandidateGenerator Gen(P, MachineModel::base16K());
+  pipeline::PadPipeline PP(P);
+  search::CandidateGenerator Gen(P, MachineModel::base16K(), PP);
   search::Candidate Base = search::zeroCandidate(P);
   std::mt19937_64 RngA(99), RngB(99);
   auto A = Gen.neighbors(Base, RngA, 8);
@@ -148,15 +153,16 @@ TEST(CostModel, BothModelsPreferPadOverOriginalOnExpl) {
   layout::DataLayout Orig = layout::originalLayout(P);
   layout::DataLayout Pad = pad::runPad(P, Cache).Layout;
   search::SimulationCostModel Exact(MachineModel::singleLevel(Cache));
-  search::StaticCostModel Static(MachineModel::singleLevel(Cache));
+  pipeline::AnalysisManager AM(P);
+  search::StaticCostModel Static(MachineModel::singleLevel(Cache), AM);
   EXPECT_LT(Exact.evaluate(Pad).Cost, Exact.evaluate(Orig).Cost);
   EXPECT_LT(Static.evaluate(Pad).Cost, Static.evaluate(Orig).Cost);
 }
 
 // The static model scores every machine through one loop over its
-// levels. Memoized (first query and hit) and un-memoized evaluations
-// must equal the weighted sum of per-level predictions exactly, and that
-// sum must equal the whole-machine prediction's aggregate.
+// levels. Its memoized first query and its cache hit must equal the
+// weighted sum of direct per-level predictions exactly, and that sum
+// must equal the whole-machine prediction's aggregate.
 TEST(CostModel, StaticEvaluationIsTheWeightedSumOfLevelPredictions) {
   for (const MachineModel &M :
        {MachineModel::base16K(), MachineModel::paperL2()}) {
@@ -166,7 +172,7 @@ TEST(CostModel, StaticEvaluationIsTheWeightedSumOfLevelPredictions) {
           layout::originalLayout(P),
           pad::applyPadding(P, M, pad::PaddingScheme::pad()).Layout};
       pipeline::AnalysisManager AM(P);
-      search::StaticCostModel Memo(M, &AM), Plain(M);
+      search::StaticCostModel Static(M, AM);
       for (const layout::DataLayout &DL : Layouts) {
         search::CostSample Want;
         for (const CacheLevel &L : M.Levels) {
@@ -181,7 +187,7 @@ TEST(CostModel, StaticEvaluationIsTheWeightedSumOfLevelPredictions) {
                   analysis::predictConflicts(DL, M).WeightedMisses)
             << K.Name << " on " << M.spec();
         for (const search::CostSample &Got :
-             {Memo.evaluate(DL), Memo.evaluate(DL), Plain.evaluate(DL)}) {
+             {Static.evaluate(DL), Static.evaluate(DL)}) {
           EXPECT_EQ(Got.Cost, Want.Cost) << K.Name << " on " << M.spec();
           EXPECT_EQ(Got.Accesses, Want.Accesses)
               << K.Name << " on " << M.spec();
@@ -336,6 +342,26 @@ TEST(SearchEngine, ExpiredDeadlineStillBeatsOrMatchesPad) {
   // The returned layout is still coherent with the reported cost.
   search::SimulationCostModel Exact(Opts.Machine);
   EXPECT_EQ(Exact.evaluate(R.BestLayout).Cost, R.BestMisses);
+}
+
+TEST(SearchEngine, DeadlineBeyondTheClockRangeNeverExpires) {
+  // Past 2^63 ns (about 9.2e9 s) a deadline no longer fits the steady
+  // clock's duration; it must still mean "later than any search", so
+  // each run ends exactly like one without a deadline.
+  ir::Program P = smallKernel("expl");
+  search::SearchOptions Opts;
+  Opts.EvalBudget = 16;
+  Opts.Seed = 5;
+  search::SearchResult Plain = search::runSearch(P, Opts);
+  for (double Secs :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    Opts.DeadlineSeconds = Secs;
+    search::SearchResult R = search::runSearch(P, Opts);
+    EXPECT_EQ(R.Outcome, Plain.Outcome) << Secs << ": " << R.OutcomeDetail;
+    EXPECT_EQ(R.Best, Plain.Best) << Secs;
+    EXPECT_EQ(R.BestMisses, Plain.BestMisses) << Secs;
+    EXPECT_EQ(R.ExactEvaluations, Plain.ExactEvaluations) << Secs;
+  }
 }
 
 TEST(SearchEngine, CancellationTokenStopsTheSearch) {

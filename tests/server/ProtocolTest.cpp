@@ -212,6 +212,27 @@ TEST(Protocol, SearchDeadlineDegradesToPartialBestSoFar) {
   EXPECT_FALSE(Res->getString("transformed_source", "").empty());
 }
 
+TEST(Protocol, SearchDeadlineBeyondTheClockRangeRunsToBudget) {
+  // 1e13 ms is past the steady clock's range in nanoseconds; the search
+  // must treat it as "later than any search", not as already expired.
+  HandlerFixture F;
+  const std::string Body = "\"op\":\"search\",\"budget\":12,\"seed\":1,"
+                           "\"source\":" +
+                           quoted(kTinyProgram);
+  support::JsonValue Plain = F.respond("{\"id\":1," + Body + "}");
+  support::JsonValue Far =
+      F.respond("{\"id\":2," + Body + ",\"deadline_ms\":1e13}");
+  ASSERT_TRUE(Far.getBool("ok", false));
+  EXPECT_EQ(Far.getString("status", ""), "complete");
+  const support::JsonValue *PR = Plain.find("result");
+  const support::JsonValue *FR = Far.find("result");
+  ASSERT_NE(PR, nullptr);
+  ASSERT_NE(FR, nullptr);
+  EXPECT_EQ(FR->getString("outcome", ""), PR->getString("outcome", "-"));
+  EXPECT_EQ(FR->getInt("exact_evaluations", -1),
+            PR->getInt("exact_evaluations", -2));
+}
+
 TEST(Protocol, ShutdownSetsTheFlagAndAnswers) {
   HandlerFixture F;
   EXPECT_FALSE(F.Handler.shutdownRequested());
@@ -280,6 +301,18 @@ TEST(Protocol, BadShutdownModeAndDrainMsAreInvalidRequests) {
   }
   EXPECT_FALSE(F.Handler.shutdownRequested())
       << "a rejected shutdown must not stop the server";
+}
+
+TEST(Protocol, DrainMsBeyondTheIntegerRangeIsKeptWhole) {
+  // A drain_ms past 2^64 used to reach a cast to uint64_t (undefined);
+  // the handler keeps the requested drain as the double it parsed.
+  HandlerFixture F;
+  support::JsonValue R = F.respond(
+      "{\"id\":1,\"op\":\"shutdown\",\"mode\":\"drain\","
+      "\"drain_ms\":1e300}");
+  ASSERT_TRUE(R.getBool("ok", false));
+  EXPECT_TRUE(F.Handler.drainRequested());
+  EXPECT_EQ(F.Handler.requestedDrainMs(), 1e300);
 }
 
 TEST(Protocol, ErrorResponseCarriesRetryAfterOnlyWhenPositive) {
@@ -597,16 +630,20 @@ std::string resultBytes(HandlerFixture &F, const std::string &Frame) {
 } // namespace
 
 TEST(Protocol, RetiredBatchAndReplayFieldsDoNotChangeTheAnswer) {
-  // Old clients still send the batched-replay knobs; the search scores
-  // one way now, so the answer is the same bytes without them.
+  // Old clients still send the batched-replay and pre-screen knobs; the
+  // search scores and prunes one way now, so the answer is the same
+  // bytes without them, whatever value they carry.
   HandlerFixture F;
   const std::string Head =
       "{\"id\":5,\"op\":\"search\",\"budget\":12,\"seed\":3";
   const std::string Tail = ",\"source\":" + quoted(kTinyProgram) + "}";
   std::string Plain = resultBytes(F, Head + Tail);
-  EXPECT_EQ(resultBytes(F, Head + ",\"batch\":16,\"replay\":false" + Tail),
-            Plain);
+  for (const char *Retired :
+       {",\"batch\":16,\"replay\":false", ",\"prescreen\":\"on\"",
+        ",\"prescreen\":\"sometimes\""})
+    EXPECT_EQ(resultBytes(F, Head + Retired + Tail), Plain) << Retired;
   EXPECT_EQ(Plain.find("batch_width"), std::string::npos) << Plain;
+  EXPECT_EQ(Plain.find("prescreen_"), std::string::npos) << Plain;
 }
 
 TEST(Protocol, MultiLevelSearchPercentsAreFirstLevelMissRates) {
