@@ -30,6 +30,7 @@
 #include "search/CandidateGenerator.h"
 #include "search/CostModel.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 
 #include <chrono>
 #include <cstdio>
@@ -136,18 +137,23 @@ int main(int argc, char **argv) {
         usage();
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) {
+      return parseIntegerFlag(Arg, Next(), Min, Max, 1);
+    };
+    constexpr int64_t I64Max = std::numeric_limits<int64_t>::max();
     if (Arg == "--candidates")
-      Candidates = static_cast<unsigned>(std::atoi(Next()));
+      Candidates = NextInt(1u, std::numeric_limits<unsigned>::max());
     else if (Arg == "--cache")
-      Cache.SizeBytes = std::atoll(Next());
+      Cache.SizeBytes = NextInt(int64_t(1), I64Max);
     else if (Arg == "--line")
-      Cache.LineBytes = std::atoll(Next());
+      Cache.LineBytes = NextInt(int64_t(1), I64Max);
     else if (Arg == "--assoc")
-      Cache.Associativity = std::atoi(Next());
+      Cache.Associativity = NextInt(0, std::numeric_limits<int>::max());
     else if (Arg == "--seed")
-      Seed = static_cast<uint64_t>(std::atoll(Next()));
+      Seed = NextInt(uint64_t(0), std::numeric_limits<uint64_t>::max());
     else if (Arg == "--guard")
-      Guard = std::atof(Next());
+      Guard = parseNumberFlag(Arg, Next(), /*ZeroAllowed=*/false, 1);
     else if (Arg == "--json")
       JsonPath = Next();
     else if (!Arg.empty() && Arg[0] == '-') {
@@ -156,8 +162,6 @@ int main(int argc, char **argv) {
     } else
       Selected.push_back(Arg);
   }
-  if (Candidates == 0)
-    usage();
   if (!Cache.isValid()) {
     std::fprintf(stderr, "error: invalid cache geometry\n");
     return 1;

@@ -34,6 +34,7 @@
 #include "analysis/LatticePredictor.h"
 #include "core/Padding.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 
 #include <algorithm>
 #include <cmath>
@@ -130,9 +131,9 @@ int main(int argc, char **argv) {
     if (Arg == "--json")
       JsonPath = Next();
     else if (Arg == "--guard-rank")
-      GuardRank = std::atof(Next());
+      GuardRank = parseNumberFlag(Arg, Next(), -1.0, 1.0, 2);
     else if (Arg == "--guard-rank-l2")
-      GuardRankL2 = std::atof(Next());
+      GuardRankL2 = parseNumberFlag(Arg, Next(), -1.0, 1.0, 2);
     else {
       std::fprintf(stderr,
                    "usage: model_accuracy [--json PATH] "

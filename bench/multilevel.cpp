@@ -39,12 +39,14 @@
 #include "core/Padding.h"
 #include "search/SearchEngine.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 using namespace padx;
@@ -88,16 +90,21 @@ int main(int argc, char **argv) {
         usage();
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max].
+    auto NextInt = [&]<typename T>(T Min, T Max) {
+      return parseIntegerFlag(Arg, Next(), Min, Max, 2);
+    };
+    constexpr unsigned UMax = std::numeric_limits<unsigned>::max();
     if (Arg == "--machine")
       MachineSpec = Next();
     else if (Arg == "--weights")
       WeightsSpec = Next();
     else if (Arg == "--budget")
-      Budget = static_cast<unsigned>(std::atoi(Next()));
+      Budget = NextInt(1u, UMax);
     else if (Arg == "--seed")
-      Seed = static_cast<uint64_t>(std::atoll(Next()));
+      Seed = NextInt(uint64_t(0), std::numeric_limits<uint64_t>::max());
     else if (Arg == "--threads")
-      Threads = static_cast<unsigned>(std::atoi(Next()));
+      Threads = NextInt(0u, UMax);
     else if (Arg == "--json")
       JsonPath = Next();
     else if (Arg == "--guard")
@@ -109,9 +116,12 @@ int main(int argc, char **argv) {
       // kernel or kernel:size
       size_t Colon = Arg.find(':');
       std::string Name = Arg.substr(0, Colon);
-      int64_t Size = Colon == std::string::npos
-                         ? 0
-                         : std::atoll(Arg.c_str() + Colon + 1);
+      int64_t Size =
+          Colon == std::string::npos
+              ? 0
+              : parseIntegerFlag("size of " + Name, Arg.c_str() + Colon + 1,
+                                 int64_t(0),
+                                 std::numeric_limits<int64_t>::max(), 2);
       if (!kernels::findKernel(Name)) {
         std::fprintf(stderr, "error: unknown kernel '%s'\n",
                      Name.c_str());

@@ -183,15 +183,8 @@ int main(int argc, char **argv) {
       return argv[++I];
     };
     // The next argument as a whole decimal integer in [Min, Max].
-    auto NextInt = [&]<typename T>(T Min, T Max) -> T {
-      const char *Text = Next();
-      if (std::optional<T> V = parseInteger<T>(Text, Min, Max))
-        return *V;
-      std::fprintf(stderr, "error: %s takes an integer in [%s, %s], "
-                           "got '%s'\n",
-                   Arg.c_str(), std::to_string(Min).c_str(),
-                   std::to_string(Max).c_str(), Text);
-      std::exit(1);
+    auto NextInt = [&]<typename T>(T Min, T Max) {
+      return parseIntegerFlag(Arg, Next(), Min, Max, 1);
     };
     constexpr unsigned UMax = std::numeric_limits<unsigned>::max();
     if (Arg == "--file")
@@ -211,7 +204,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--reps")
       Reps = NextInt(1u, UMax);
     else if (Arg == "--guard")
-      Guard = std::atof(Next());
+      Guard = parseNumberFlag(Arg, Next(), /*ZeroAllowed=*/false, 1);
     else if (Arg == "--json")
       JsonPath = Next();
     else

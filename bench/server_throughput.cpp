@@ -52,6 +52,7 @@
 #include "server/Server.h"
 #include "support/Json.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 #include "support/Socket.h"
 
 #include <unistd.h>
@@ -63,6 +64,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -460,7 +462,7 @@ int main(int argc, char **argv) {
   double OpenLoopRps = 0;
   double P99LimitMs = 0;
   int64_t Queue = -1, Inflight = -1, MinShed = 0;
-  int64_t Budget = 0; // search op; <= 0 = omit.
+  int64_t Budget = 0; // search op; 0 = omit.
   std::vector<std::string> Selected;
 
   for (int I = 1; I < argc; ++I) {
@@ -470,41 +472,48 @@ int main(int argc, char **argv) {
         usage();
       return argv[++I];
     };
+    // The next argument as a whole decimal integer in [Min, Max], or a
+    // finite number > 0.
+    auto NextInt = [&]<typename T>(T Min, T Max) {
+      return parseIntegerFlag(Arg, Next(), Min, Max, 1);
+    };
+    auto NextPositive = [&] {
+      return parseNumberFlag(Arg, Next(), /*ZeroAllowed=*/false, 1);
+    };
+    constexpr unsigned UMax = std::numeric_limits<unsigned>::max();
+    constexpr int64_t I64Max = std::numeric_limits<int64_t>::max();
     if (Arg == "--clients")
-      Clients = static_cast<unsigned>(std::atoi(Next()));
+      Clients = NextInt(1u, UMax);
     else if (Arg == "--requests")
-      Requests = static_cast<unsigned>(std::atoi(Next()));
+      Requests = NextInt(1u, UMax);
     else if (Arg == "--op")
       OpName = Next();
     else if (Arg == "--budget")
-      Budget = std::atoll(Next());
+      Budget = NextInt(int64_t(1), int64_t(UMax));
     else if (Arg == "--json")
       JsonPath = Next();
     else if (Arg == "--guard")
-      Guard = std::atof(Next());
+      Guard = NextPositive();
     else if (Arg == "--baseline")
       BaselinePath = Next();
     else if (Arg == "--p99-slack")
-      P99Slack = std::atof(Next());
+      P99Slack = NextPositive();
     else if (Arg == "--open-loop")
-      OpenLoopRps = std::atof(Next());
+      OpenLoopRps = NextPositive();
     else if (Arg == "--queue")
-      Queue = std::atoll(Next());
+      Queue = NextInt(int64_t(0), I64Max);
     else if (Arg == "--inflight")
-      Inflight = std::atoll(Next());
+      Inflight = NextInt(int64_t(0), I64Max);
     else if (Arg == "--p99-limit")
-      P99LimitMs = std::atof(Next());
+      P99LimitMs = NextPositive();
     else if (Arg == "--min-shed")
-      MinShed = std::atoll(Next());
+      MinShed = NextInt(int64_t(0), I64Max);
     else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       return 1;
     } else
       Selected.push_back(Arg);
   }
-  if (Clients == 0 || Requests == 0 || P99Slack <= 0 ||
-      OpenLoopRps < 0 || Queue < -1 || Inflight < -1 || MinShed < 0)
-    usage();
   if (OpName != "pad" && OpName != "padlite" && OpName != "lint" &&
       OpName != "search" && OpName != "ping") {
     std::fprintf(stderr, "error: unsupported op '%s'\n", OpName.c_str());

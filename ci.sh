@@ -198,6 +198,15 @@ if command -v jq > /dev/null 2>&1; then
             "lattice-prediction"]' \
       "$s" > /dev/null
   done
+  # A search scores some layouts by reusing the score of a whole-period
+  # shift it already simulated: CHOL's gap moves on its first array do
+  # nothing else, so it must simulate fewer layouts than it scores.
+  build/examples/padtool --kernel chol --scheme search \
+    --stats-json build/STATS_chol_search.json > /dev/null
+  jq -e '.search.simulated_evaluations < .search.exact_evaluations' \
+    build/STATS_chol_search.json > /dev/null || {
+    echo "chol search simulated every layout it scored"
+    cat build/STATS_chol_search.json; exit 1; }
 else
   echo "  (jq not found: shape validation skipped)"
 fi
@@ -207,6 +216,12 @@ fi
 # (measured ~46x aggregate locally, so the bound has real headroom).
 build/bench/analysis_cache --candidates 192 --guard 1.2 \
   --json build/BENCH_pipeline.json
+# A guard that does not parse is a usage error (exit 1), not a 0 that
+# turns the gate off.
+rc=0; build/bench/analysis_cache --candidates 8 --guard abc dot \
+  > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || {
+  echo "analysis_cache --guard abc: expected exit 1, got $rc"; exit 1; }
 
 echo "== padlint: exit-code contract + SARIF artifact =="
 # The CI artifact: one SARIF run over every example program, for code
@@ -325,9 +340,10 @@ done
 build/examples/paddctl --socket "$PADD_SOCK" --op lint --format sarif \
   tests/fuzz/corpus/jacobi512.pad > build/padd_ci_sarif.ndjson
 # One multi-level search: its *_percent fields are first-cache-level
-# miss rates (never above 100, whatever the level weights), the retired
-# batch_width and prescreen_* fields stay gone, and a deadline past the
-# steady clock's nanosecond range (1e13 ms) lets it run to completion.
+# miss rates (never above 100, whatever the level weights), it never
+# simulates more layouts than it scores, the retired batch_width and
+# prescreen_* fields stay gone, and a deadline past the steady clock's
+# nanosecond range (1e13 ms) lets it run to completion.
 build/examples/paddctl --socket "$PADD_SOCK" --op search --machine paper-l2 \
   --budget 8 --deadline-ms 1e13 --no-emit tests/fuzz/corpus/jacobi512.pad \
   > build/padd_ci_search_l2.ndjson
@@ -335,12 +351,13 @@ if command -v jq > /dev/null 2>&1; then
   jq -e '.ok == true and .op == "search" and .status == "complete" and
          ([.result | to_entries[] | select(.key | endswith("_percent"))
            | .value] | length == 3 and all(. <= 100)) and
+         .result.simulated_evaluations <= .result.exact_evaluations and
          (.result | has("batch_width") | not) and
          (.result | has("prescreen_active") | not) and
          (.result | has("prescreen_skipped") | not)' \
     build/padd_ci_search_l2.ndjson > /dev/null || {
     echo "paper-l2 search reply is partial, has a percent above 100," \
-      "or carries a retired field"
+      "simulates more than it scores, or carries a retired field"
     cat build/padd_ci_search_l2.ndjson; kill "$PADD_PID"; exit 1; }
   jq -e '.ok == true and .op == "lint"' build/padd_ci_sarif.ndjson \
     > /dev/null

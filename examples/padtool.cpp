@@ -367,8 +367,10 @@ int main(int argc, char **argv) {
                 "model, %u duplicates\n",
                 SR.CandidatesGenerated, SR.PrunedStatic,
                 SR.DuplicatesSkipped);
-    std::printf("  simulations: %u over %u rounds (%u restarts)\n",
-                SR.ExactEvaluations, SR.Rounds, SR.Restarts);
+    std::printf("  simulations: %u of %u exact scores over %u rounds "
+                "(%u restarts)\n",
+                SR.SimulatedEvaluations, SR.ExactEvaluations, SR.Rounds,
+                SR.Restarts);
     for (const std::string &Line : SR.Log)
       std::printf("  %s\n", Line.c_str());
     std::printf("  outcome: %s%s%s\n",
@@ -505,6 +507,8 @@ int main(int argc, char **argv) {
               JW.beginObject();
               JW.field("exact_evaluations",
                        SearchRes->ExactEvaluations);
+              JW.field("simulated_evaluations",
+                       SearchRes->SimulatedEvaluations);
               JW.field("rounds", SearchRes->Rounds);
               JW.field("restarts", SearchRes->Restarts);
               JW.field("outcome",

@@ -8,6 +8,7 @@
 
 #include "support/Compiler.h"
 #include "support/Guard.h"
+#include "support/MathExtras.h"
 
 #include <algorithm>
 #include <atomic>
@@ -511,7 +512,33 @@ RecordedTrace::record(const ir::Program &P, const RunOptions &Options,
       *WhyNot = Reason;
     return nullptr;
   }
+  for (const Ref &Rf : T->Refs)
+    T->TouchedArrays.push_back(Rf.ArrayId);
+  std::sort(T->TouchedArrays.begin(), T->TouchedArrays.end());
+  T->TouchedArrays.erase(
+      std::unique(T->TouchedArrays.begin(), T->TouchedArrays.end()),
+      T->TouchedArrays.end());
   return T;
+}
+
+std::vector<int64_t> RecordedTrace::addressKey(const layout::DataLayout &DL,
+                                               int64_t Period) const {
+  assert(&DL.program() == Prog && "layout of another program");
+  assert(Period > 0 && "period must be positive");
+  std::vector<int64_t> Key;
+  if (TouchedArrays.empty())
+    return Key;
+  int64_t Origin = INT64_MAX;
+  for (uint32_t Id : TouchedArrays)
+    Origin = std::min(Origin, DL.layout(Id).BaseAddr);
+  Origin -= floorMod(Origin, Period);
+  for (uint32_t Id : TouchedArrays) {
+    const layout::ArrayLayout &L = DL.layout(Id);
+    Key.push_back(L.BaseAddr - Origin);
+    if (!L.Dims.empty())
+      Key.insert(Key.end(), L.Dims.begin(), L.Dims.end() - 1);
+  }
+  return Key;
 }
 
 size_t RecordedTrace::storageBytes() const {

@@ -96,6 +96,19 @@ public:
   /// keyed by trace without risking stale pointer reuse.
   uint64_t id() const { return Id; }
 
+  /// Everything a replay reads of \p DL, translated to a canonical
+  /// origin: for each array some recorded ref touches, in id order, its
+  /// base minus the origin, then its padded dims except the last. The
+  /// origin is the lowest such base floored to a multiple of \p Period
+  /// (> 0). Scalars never appear in the trace, so they stay out; no
+  /// stride reads an array's last dim (stride_k is the element size
+  /// times dims 0..k-1), and a gathered offset never leaves its declared
+  /// table, so neither does an index array's padded length. Two layouts
+  /// with equal keys therefore replay address streams that differ by a
+  /// whole multiple of \p Period.
+  std::vector<int64_t> addressKey(const layout::DataLayout &DL,
+                                  int64_t Period) const;
+
 private:
   friend class TraceRecorder;
   friend class TraceReplayer;
@@ -147,6 +160,8 @@ private:
   std::vector<int64_t> Starts;
   /// Per index array read through: its values over its declared length.
   std::vector<std::vector<int32_t>> Tables;
+  /// Ids of the arrays some ref touches, ascending.
+  std::vector<uint32_t> TouchedArrays;
 };
 
 /// Streams a RecordedTrace through a cache simulator (or any sink) under

@@ -13,6 +13,7 @@
 #include "pipeline/AnalysisManager.h"
 
 #include <cassert>
+#include <numeric>
 #include <optional>
 
 using namespace padx;
@@ -74,6 +75,16 @@ CostSample SimulationCostModel::evaluate(
     exec::TraceRunner(DL.program(), DL).run(Sink);
   }
   return sampleOf(H);
+}
+
+std::vector<int64_t>
+SimulationCostModel::scoreKey(const layout::DataLayout &DL) const {
+  if (!Trace || &DL.program() != &Trace->program())
+    return {};
+  int64_t Period = 1;
+  for (const CacheLevel &L : Machine.Levels)
+    Period = std::lcm(Period, L.Geometry.LineBytes);
+  return Trace->addressKey(DL, Period);
 }
 
 CostSample StaticCostModel::evaluate(const layout::DataLayout &DL) const {

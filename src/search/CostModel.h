@@ -79,6 +79,18 @@ public:
   /// invokes it concurrently on distinct layouts.
   CostSample evaluate(const layout::DataLayout &DL) const;
 
+  /// \p DL's RecordedTrace::addressKey at the machine's period, the
+  /// largest line or page size over its levels (all powers of two, so
+  /// their lcm). Layouts with equal non-empty keys evaluate to equal
+  /// samples: shifting every address by a multiple of the period moves
+  /// each level's line l to l + c for one c, which permutes sets one to
+  /// one and keeps equal lines equal, and every level starts empty, so
+  /// each level sees the same hits, misses and write-backs. Empty when
+  /// replay was declined (the walk's IndirectOutOfRange stop depends on
+  /// padded index-array lengths) or the trace touches no array; an empty
+  /// key matches nothing.
+  std::vector<int64_t> scoreKey(const layout::DataLayout &DL) const;
+
 private:
   MachineModel Machine;
   /// Shared read-only across the thread pool's workers; each worker

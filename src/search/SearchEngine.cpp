@@ -16,6 +16,7 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -80,16 +81,46 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
     R.Log.push_back("exact scores by the direct walk (replay declined: " +
                     Exact.replayDeclined() + ")");
 
-  // Exact-scores a batch on the pool, one candidate per task; results
-  // land by submission index, so reductions below are thread-count
-  // independent.
+  // Exact-scores a batch. A candidate whose score key this search has
+  // already scored reuses that sample (equal keys replay the same
+  // addresses up to a whole-period shift, which no level can tell
+  // apart); the first candidate of each new key simulates on the pool,
+  // one per task, and later ones of that key in the batch copy it. Keys
+  // and the memo live on this thread only, and results land by
+  // submission index, so reductions below are thread-count independent.
+  // A reused score still counts as an exact evaluation.
+  std::map<std::vector<int64_t>, CostSample> Memo;
   auto evaluateBatch = [&](const std::vector<Candidate> &Batch) {
     const auto Begin = std::chrono::steady_clock::now();
     std::vector<CostSample> Samples(Batch.size());
-    Pool.parallelFor(Batch.size(), [&](size_t I) {
-      Samples[I] = Exact.evaluate(materialize(P, Batch[I]));
+    std::vector<layout::DataLayout> Layouts;
+    Layouts.reserve(Batch.size());
+    std::vector<size_t> Simulate;
+    std::map<std::vector<int64_t>, size_t> FirstOfKey;
+    std::vector<std::pair<size_t, size_t>> Copies; // (to, from)
+    for (size_t I = 0; I != Batch.size(); ++I) {
+      Layouts.push_back(materialize(P, Batch[I]));
+      std::vector<int64_t> Key = Exact.scoreKey(Layouts[I]);
+      if (Key.empty()) {
+        Simulate.push_back(I);
+      } else if (auto It = Memo.find(Key); It != Memo.end()) {
+        Samples[I] = It->second;
+      } else if (auto [First, New] = FirstOfKey.emplace(std::move(Key), I);
+                 New) {
+        Simulate.push_back(I);
+      } else {
+        Copies.emplace_back(I, First->second);
+      }
+    }
+    Pool.parallelFor(Simulate.size(), [&](size_t J) {
+      Samples[Simulate[J]] = Exact.evaluate(Layouts[Simulate[J]]);
     });
+    for (const auto &[To, From] : Copies)
+      Samples[To] = Samples[From];
+    for (const auto &[Key, I] : FirstOfKey)
+      Memo.emplace(Key, Samples[I]);
     R.ExactEvaluations += static_cast<unsigned>(Batch.size());
+    R.SimulatedEvaluations += static_cast<unsigned>(Simulate.size());
     R.ExactEvalSeconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Begin)
@@ -306,10 +337,10 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
   R.BestLayout = materialize(P, GlobalBest);
   {
     std::ostringstream OS;
-    OS << "done: " << R.ExactEvaluations << " simulations, "
-       << R.PrunedStatic << " pruned statically, "
-       << R.DuplicatesSkipped << " duplicates, " << R.Restarts
-       << " restarts; best " << GlobalBestCost << " vs PAD "
+    OS << "done: " << R.ExactEvaluations << " exact scores ("
+       << R.SimulatedEvaluations << " simulated), " << R.PrunedStatic
+       << " pruned statically, " << R.DuplicatesSkipped << " duplicates, "
+       << R.Restarts << " restarts; best " << GlobalBestCost << " vs PAD "
        << R.PadMisses << " misses";
     R.Log.push_back(OS.str());
   }

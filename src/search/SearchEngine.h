@@ -11,7 +11,10 @@
 /// (so the result is never worse than PAD), neighbors are proposed by
 /// the CandidateGenerator, cheap static estimation prunes unpromising
 /// ones, and the survivors are scored exactly by trace-driven simulation
-/// — one candidate per task, concurrently, on a support::ThreadPool.
+/// — one candidate per task, concurrently, on a support::ThreadPool. A
+/// per-search memo keyed on what replay reads, translated to a canonical
+/// origin, lets a survivor that replays a whole-period shift of an
+/// already scored layout reuse that score instead of simulating.
 ///
 /// Determinism contract: for a fixed program, options and seed the
 /// result is bit-identical for every thread count. All randomness runs
@@ -132,15 +135,24 @@ struct SearchResult {
   unsigned CandidatesGenerated = 0; ///< Proposed, including duplicates.
   unsigned DuplicatesSkipped = 0;
   unsigned PrunedStatic = 0; ///< Skipped on the static model's verdict.
+  /// Exact scores the climb consumed, the budget's unit: every one
+  /// counts, whether it was simulated or reused from an earlier layout
+  /// of the same score key (SimulationCostModel::scoreKey).
   unsigned ExactEvaluations = 0;
+  /// The simulations that actually ran: ExactEvaluations minus the
+  /// scores reused within this search, because their layout replays a
+  /// whole-period shift of one already scored.
+  unsigned SimulatedEvaluations = 0;
   unsigned Rounds = 0;
   unsigned Restarts = 0;
   /// Candidates scored per exact evaluation: always 1, since the search
   /// replays one candidate at a time. Kept only because perfbench reads
   /// it for its search.batch_width metric.
   unsigned BatchWidth = 1;
-  /// Wall-clock seconds spent inside exact-evaluation batches; with
-  /// ExactEvaluations this yields the candidates/sec the tools report.
+  /// Wall-clock seconds spent inside exact-evaluation batches: score
+  /// keys, memo lookups and the simulations that ran. ExactEvaluations
+  /// over it is the candidates/sec the tools report, which counts reused
+  /// scores as well, so it rises with the share of reused scores.
   double ExactEvalSeconds = 0;
 
   /// One line per accepted improvement, for --report style output.

@@ -522,6 +522,7 @@ std::string RequestHandler::dispatch(const Request &R) {
       JW.endArray();
     }
     JW.field("exact_evaluations", SR.ExactEvaluations);
+    JW.field("simulated_evaluations", SR.SimulatedEvaluations);
     JW.field("rounds", SR.Rounds);
     JW.field("restarts", SR.Restarts);
     JW.field("candidates_generated", SR.CandidatesGenerated);

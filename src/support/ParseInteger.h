@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Whole-string decimal parsing for integer and duration command-line
-/// flags. std::atoll followed by a cast reads "12abc" as 12 and "abc" as
-/// 0, and wraps 4294967297 to 1 in an unsigned field; std::atof also
-/// reads "nan" and "inf". parseInteger and parseNumber take the whole
-/// string or nothing.
+/// Whole-string decimal parsing for integer, duration and guard
+/// command-line flags. std::atoll followed by a cast reads "12abc" as 12
+/// and "abc" as 0, and wraps 4294967297 to 1 in an unsigned field;
+/// std::atof also reads "nan" and "inf". parseInteger and parseNumber
+/// take the whole string or nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +91,19 @@ inline double parseNumberFlag(std::string_view Flag, const char *Text,
   std::fprintf(stderr, "error: %.*s takes a finite number %s 0, got '%s'\n",
                static_cast<int>(Flag.size()), Flag.data(),
                ZeroAllowed ? ">=" : ">", Text);
+  std::exit(ExitCode);
+}
+
+/// parseNumber for the value \p Text of flag \p Flag, which takes a
+/// finite number in [\p Min, \p Max] (a correlation guard in [-1, 1]).
+/// A bad value prints one "error: <Flag> takes a number in [<Min>,
+/// <Max>], got '<Text>'" line to stderr and exits with \p ExitCode.
+inline double parseNumberFlag(std::string_view Flag, const char *Text,
+                              double Min, double Max, int ExitCode) {
+  if (std::optional<double> V = parseNumber(Text, Min, Max))
+    return *V;
+  std::fprintf(stderr, "error: %.*s takes a number in [%g, %g], got '%s'\n",
+               static_cast<int>(Flag.size()), Flag.data(), Min, Max, Text);
   std::exit(ExitCode);
 }
 

@@ -8,9 +8,10 @@
 /// The recorded-trace contract: replaying a recording under any layout
 /// produces the exact event stream a fresh TraceRunner walk would —
 /// index-array gathers and every loop width included — the compression
-/// is block-per-innermost-loop, and programs the format cannot express
+/// is block-per-innermost-loop, programs the format cannot express
 /// (an index subscript outside its declared table, scalar emission) are
-/// declined with a reason instead of recorded wrongly.
+/// declined with a reason instead of recorded wrongly, and the address
+/// key the search memoizes scores by holds exactly what replay reads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -623,4 +624,60 @@ loop i = 1, 32 {
   Replayer.replay(layout::originalLayout(P), Sim);
   EXPECT_EQ(RS.SlotRebuilds, 5u);
   EXPECT_EQ(RS.RefDeltaRebuilds, ColdRefRebuilds + 2);
+}
+
+//===----------------------------------------------------------------------===//
+// Address key
+//===----------------------------------------------------------------------===//
+
+TEST(RecordedTrace, AddressKeyReadsOnlyWhatReplayReads) {
+  ir::Program P = parseOrDie(R"(program p
+array S : real
+array U : real[8, 8]
+array A : real[16, 16]
+array B : real[16, 16]
+loop i = 1, 16 {
+  loop j = 1, 16 {
+    B[j, i] = A[j, i] + S
+  }
+}
+)");
+  auto T = RecordedTrace::record(P);
+  ASSERT_NE(T, nullptr);
+  const unsigned S = *P.findArray("S"), U = *P.findArray("U"),
+                 A = *P.findArray("A"), B = *P.findArray("B");
+  const layout::DataLayout Orig = layout::originalLayout(P);
+  const std::vector<int64_t> Key = T->addressKey(Orig, 32);
+  // A and B only, each as its base from the origin and its first dim.
+  ASSERT_EQ(Key.size(), 4u);
+  EXPECT_EQ(Key[1], 16);
+  EXPECT_EQ(Key[3], 16);
+
+  // The register-promoted scalar, the unreferenced array and every last
+  // dim stay out of the key, and replay indeed never reads them.
+  layout::DataLayout Unread = Orig;
+  Unread.layout(S).BaseAddr += 8;
+  Unread.layout(U).BaseAddr += 8;
+  Unread.layout(U).Dims = {9, 9};
+  Unread.layout(A).Dims.back() += 5;
+  Unread.layout(B).Dims.back() += 1;
+  EXPECT_EQ(T->addressKey(Unread, 32), Key);
+  EXPECT_EQ(replayTrace(*T, Unread), replayTrace(*T, Orig));
+
+  // A first dim is a stride: padding it changes the key.
+  layout::DataLayout Padded = Orig;
+  Padded.layout(A).Dims.front() += 1;
+  EXPECT_NE(T->addressKey(Padded, 32), Key);
+
+  // Moving both referenced arrays by 32 bytes is a whole-period shift at
+  // period 32 but not at period 64.
+  layout::DataLayout Shifted = Orig;
+  Shifted.layout(A).BaseAddr += 32;
+  Shifted.layout(B).BaseAddr += 32;
+  EXPECT_EQ(T->addressKey(Shifted, 32), Key);
+  EXPECT_NE(T->addressKey(Shifted, 64), T->addressKey(Orig, 64));
+  // Moving one of them alone changes their distance at any period.
+  layout::DataLayout Apart = Orig;
+  Apart.layout(B).BaseAddr += 32;
+  EXPECT_NE(T->addressKey(Apart, 32), Key);
 }

@@ -16,7 +16,11 @@
 /// multi-level machines, with a TLB beside the chain, an 8-way first
 /// level and 256 B lines, level by level against the walk. The third
 /// checks the static analyses' pair distances (the paper's Expression
-/// (1)) against addresses computed element by element.
+/// (1)) against addresses computed element by element. The fourth pins
+/// the invariance the search's score memo rests on: moving every base
+/// by a multiple of the machine's period, or growing last dims in place,
+/// changes no statistic and no address key, while moves and pads that
+/// replay can see change the key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,7 @@
 #include <algorithm>
 #include <array>
 #include <random>
+#include <set>
 
 using namespace padx;
 
@@ -180,6 +185,76 @@ unsigned checkPairDistances(const std::string &Context,
   return Constant;
 }
 
+/// The single-level geometries of the first test as one-level machines,
+/// then the hierarchies of the second.
+std::vector<MachineModel> oracleMachines() {
+  std::vector<MachineModel> Machines = {
+      MachineModel::singleLevel(CacheConfig::base16K()),
+      MachineModel::singleLevel(CacheConfig{16 * 1024, 32, 2})};
+  for (const char *Spec : {"paper-l2", "skylake", "a64fx",
+                           "l1:16k/32/1,l2:64k/64/1,tlb:64/4k/4"}) {
+    MachineModel M;
+    std::string Error;
+    EXPECT_TRUE(MachineModel::parse(Spec, M, &Error)) << Spec << ": "
+                                                      << Error;
+    Machines.push_back(std::move(M));
+  }
+  return Machines;
+}
+
+/// The machine's period: its largest line or page size. Every size is a
+/// power of two, so each is a divisor of it.
+int64_t periodOf(const MachineModel &M) {
+  int64_t Period = 1;
+  for (const CacheLevel &L : M.Levels)
+    Period = std::max(Period, L.Geometry.LineBytes);
+  return Period;
+}
+
+/// \p DL with every base, scalars and unreferenced arrays included,
+/// moved by \p Bytes.
+layout::DataLayout shifted(const layout::DataLayout &DL, int64_t Bytes) {
+  layout::DataLayout Out = DL;
+  for (unsigned Id = 0; Id != Out.numArrays(); ++Id)
+    Out.layout(Id).BaseAddr += Bytes;
+  return Out;
+}
+
+/// Ids of the arrays some statement of \p P references, index arrays
+/// included.
+std::set<unsigned> referencedArrays(const ir::Program &P) {
+  std::set<unsigned> Ids;
+  P.forEachAssign([&](const ir::Assign &A,
+                      const std::vector<const ir::Loop *> &) {
+    for (const ir::ArrayRef &R : A.Refs) {
+      Ids.insert(R.ArrayId);
+      if (R.IndirectDim >= 0)
+        Ids.insert(R.IndexArrayId);
+    }
+  });
+  return Ids;
+}
+
+/// Every statistic a walk of \p DL leaves in \p H: per-level stats and
+/// the accesses that missed every cache level.
+struct WalkStats {
+  std::vector<sim::CacheStats> Levels;
+  uint64_t Memory = 0;
+  bool operator==(const WalkStats &RHS) const = default;
+};
+
+WalkStats walkStats(sim::CacheHierarchy &H, const ir::Program &P,
+                    const layout::DataLayout &DL) {
+  H.reset();
+  exec::HierarchySink Sink(H);
+  exec::TraceRunner(P, DL, cappedRun()).run(Sink);
+  WalkStats W;
+  for (unsigned I = 0; I != H.numLevels(); ++I)
+    W.Levels.push_back(H.stats(I));
+  W.Memory = H.memoryAccesses();
+  return W;
+}
+
 } // namespace
 
 TEST(Differential, WalkReplayAndHierarchyAgreeOnGeneratedPrograms) {
@@ -286,4 +361,75 @@ TEST(Differential, PairDistancesMatchAddressDifferences) {
   }
   // The pairs must actually include constant distances.
   EXPECT_GT(Constant, 1000u);
+}
+
+TEST(Differential, ShiftingByThePeriodKeepsEveryStatistic) {
+  const std::vector<MachineModel> Machines = oracleMachines();
+  std::vector<sim::CacheHierarchy> Walks;
+  for (const MachineModel &M : Machines)
+    Walks.emplace_back(M);
+  unsigned PadsChecked = 0;
+  forEachSample([&](uint64_t Seed, const ir::Program &P,
+                    const exec::RecordedTrace &T,
+                    const layout::DataLayout *Layouts) {
+    const std::set<unsigned> Referenced = referencedArrays(P);
+    for (size_t M = 0; M != Machines.size(); ++M) {
+      sim::CacheHierarchy &H = Walks[M];
+      const int64_t Period = periodOf(Machines[M]);
+      const unsigned First = Machines[M].firstCacheLevel();
+      const int64_t Line = Machines[M].Levels[First].Geometry.LineBytes;
+      uint64_t FirstAccesses = 0;
+      for (unsigned L = 0; L != 3; ++L) {
+        const std::string Context = "seed " + std::to_string(Seed) + " " +
+                                    kLayoutNames[L] + " " +
+                                    Machines[M].spec();
+        const layout::DataLayout &DL = Layouts[L];
+        const WalkStats Stats = walkStats(H, P, DL);
+        const std::vector<int64_t> Key = T.addressKey(DL, Period);
+        ASSERT_FALSE(Key.empty()) << Context;
+
+        // Padding never changes the access count.
+        if (L == 0)
+          FirstAccesses = Stats.Levels[First].Accesses;
+        EXPECT_EQ(Stats.Levels[First].Accesses, FirstAccesses) << Context;
+
+        // Whole-period shifts: same statistics, same key.
+        for (int64_t Periods : {1, 3}) {
+          const layout::DataLayout Moved = shifted(DL, Periods * Period);
+          EXPECT_EQ(walkStats(H, P, Moved), Stats)
+              << Context << " shifted by " << Periods << " periods";
+          EXPECT_EQ(T.addressKey(Moved, Period), Key)
+              << Context << " shifted by " << Periods << " periods";
+        }
+
+        // No stride reads a last dim: growing every one in place, bases
+        // unchanged, is invisible to the walk and to the key.
+        layout::DataLayout Grown = DL;
+        for (unsigned Id = 0; Id != Grown.numArrays(); ++Id)
+          if (!Grown.layout(Id).Dims.empty())
+            Grown.layout(Id).Dims.back() += 3;
+        EXPECT_EQ(walkStats(H, P, Grown), Stats) << Context << " grown";
+        EXPECT_EQ(T.addressKey(Grown, Period), Key) << Context << " grown";
+
+        // What replay can see changes the key: a shift by half a
+        // first-level line (still element-aligned), and a one-element
+        // pad of any dim but the last of a referenced array.
+        ASSERT_EQ((Line / 2) % 8, 0) << Context;
+        EXPECT_NE(T.addressKey(shifted(DL, Line / 2), Period), Key)
+            << Context << " shifted by half a line";
+        for (unsigned Id : Referenced) {
+          for (size_t D = 0; D + 1 < DL.layout(Id).Dims.size(); ++D) {
+            layout::DataLayout Padded = DL;
+            ++Padded.layout(Id).Dims[D];
+            EXPECT_NE(T.addressKey(Padded, Period), Key)
+                << Context << " " << P.array(Id).Name << " dim " << D
+                << " padded";
+            ++PadsChecked;
+          }
+        }
+      }
+    }
+  });
+  // The samples must include referenced arrays of rank 2 and above.
+  EXPECT_GT(PadsChecked, kSamples);
 }

@@ -239,8 +239,37 @@ TEST(SearchEngine, ResultIndependentOfThreadCount) {
     search::SearchResult Parallel = search::runSearch(P, Opts);
     EXPECT_EQ(Serial.Best, Parallel.Best) << Name;
     EXPECT_EQ(Serial.BestMisses, Parallel.BestMisses) << Name;
+    EXPECT_EQ(Serial.SimulatedEvaluations, Parallel.SimulatedEvaluations)
+        << Name;
     EXPECT_EQ(Serial.Log, Parallel.Log) << Name;
   }
+}
+
+TEST(SearchEngine, TranslatedCandidatesReuseOneSimulation) {
+  // Most of CHOL's gap moves land on its first array, which shifts every
+  // replayed address by whole lines: the search scores those layouts
+  // with the sample of the one it already simulated. A reused score
+  // still spends budget, and the memo is read and written on the
+  // generation thread only, so every count is the same at any thread
+  // count.
+  ir::Program P = smallKernel("chol");
+  search::SearchOptions Opts;
+  Opts.EvalBudget = 48;
+  Opts.Threads = 1;
+  search::SearchResult Serial = search::runSearch(P, Opts);
+  EXPECT_EQ(Serial.ExactEvaluations, 48u);
+  EXPECT_GT(Serial.SimulatedEvaluations, 0u);
+  EXPECT_LE(Serial.SimulatedEvaluations, 12u);
+  Opts.Threads = 4;
+  search::SearchResult Parallel = search::runSearch(P, Opts);
+  EXPECT_EQ(Parallel.Best, Serial.Best);
+  EXPECT_EQ(Parallel.BestMisses, Serial.BestMisses);
+  EXPECT_EQ(Parallel.ExactEvaluations, Serial.ExactEvaluations);
+  EXPECT_EQ(Parallel.SimulatedEvaluations, Serial.SimulatedEvaluations);
+  EXPECT_EQ(Parallel.Log, Serial.Log);
+  // The best layout's reported cost is what a fresh simulation says.
+  search::SimulationCostModel Exact(Opts.Machine);
+  EXPECT_EQ(Exact.evaluate(Serial.BestLayout).Cost, Serial.BestMisses);
 }
 
 TEST(SearchEngine, ReplayAndDirectEvaluationAgreeExactly) {
